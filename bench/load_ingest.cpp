@@ -13,8 +13,8 @@
 //     item) drives rejections and ladder step-downs, never unbounded
 //     queues or a dead daemon;
 //  3. chaos survival: `--chaos P` arms every service failpoint at
-//     probability P (needs a build with -DFTIO_ENABLE_FAILPOINTS=ON)
-//     and the run must still satisfy the `--check` invariants.
+//     probability P and the run must still satisfy the `--check`
+//     invariants.
 //
 // `--check` verifies the backpressure invariants after the run (queue
 // bound respected, conservation of accepted vs processed work, resident
@@ -192,11 +192,6 @@ int main(int argc, char** argv) {
   namespace fp = ftio::util::failpoints;
 
   if (config.chaos > 0.0) {
-    if (!fp::compiled_in()) {
-      std::fprintf(stderr,
-                   "--chaos needs a build with -DFTIO_ENABLE_FAILPOINTS=ON\n");
-      return 2;
-    }
     for (const char* name : kFailpoints) {
       fp::arm(name, config.chaos, config.seed);
     }

@@ -3,7 +3,7 @@
 // longest analyses took 2.2-8.7 s including Python overhead; the numeric
 // kernels here are the dominant cost in this C++ realization).
 //
-// The PlanCached/ColdPlan pairs quantify the plan cache: the cold path
+// The ColdPlan/PlanCached pairs quantify the plan cache: the cold path
 // constructs a fresh FftPlan per call — recomputing twiddles, bit-reversal,
 // the Bluestein chirp, and the chirp's FFT like the pre-cache
 // implementation did on every transform — while the cached path reuses the
@@ -42,63 +42,35 @@ std::vector<ftio::signal::Complex> complex_tone(std::size_t n) {
   return c;
 }
 
-// --- plan-cached vs. cold-path pairs ---------------------------------------
+// --- cold-path transforms --------------------------------------------------
 // Sizes: 4096 (power of two), 4099 and 7817 (primes; 7817 is the paper's
-// IOR sample count), 6480 (highly composite).
-
-void BM_FftPlanCached(benchmark::State& state) {
-  const auto c = complex_tone(static_cast<std::size_t>(state.range(0)));
-  std::vector<ftio::signal::Complex> out(c.size());
-  for (auto _ : state) {
-    ftio::signal::fft_into(c, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK(BM_FftPlanCached)->Arg(4096)->Arg(4099)->Arg(7817)->Arg(6480);
+// IOR sample count), 6480 (highly composite). The plan-cached
+// counterparts are the *PlanarPlanCached benches below.
 
 void BM_FftColdPlan(benchmark::State& state) {
-  const auto c = complex_tone(static_cast<std::size_t>(state.range(0)));
+  const auto re = tone(static_cast<std::size_t>(state.range(0)));
+  const std::vector<double> im(re.size(), 0.0);
   for (auto _ : state) {
     // Fresh tables + fresh output per call: the seed implementation's
     // per-invocation cost model.
-    ftio::signal::FftPlan plan(c.size());
-    std::vector<ftio::signal::Complex> out(c.size());
-    plan.forward(c, out);
-    benchmark::DoNotOptimize(out.data());
+    ftio::signal::FftPlan plan(re.size());
+    std::vector<double> out_re(re.size()), out_im(re.size());
+    plan.forward_planar(re, im, out_re, out_im);
+    benchmark::DoNotOptimize(out_re.data());
+    benchmark::DoNotOptimize(out_im.data());
   }
 }
 BENCHMARK(BM_FftColdPlan)->Arg(4096)->Arg(4099)->Arg(7817)->Arg(6480);
 
-void BM_RfftPlanCached(benchmark::State& state) {
-  const auto x = tone(static_cast<std::size_t>(state.range(0)));
-  std::vector<ftio::signal::Complex> out(x.size());
-  for (auto _ : state) {
-    ftio::signal::rfft_into(x, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK(BM_RfftPlanCached)->Arg(4096)->Arg(7817);
-
-// --- split-radix half-spectrum core vs the retained reference kernels -----
+// --- split-radix half-spectrum core vs the scalar reference kernel --------
 // BM_RfftHalfPlanarPlanCached is the planar packed single-sided
-// transform every consumer now runs (caller-owned re/im lanes, no
-// interleaved buffer anywhere); BM_RfftHalfPlanCached is the interleaved
-// adapter over it. BM_RfftHalfRadix4Ref reproduces the PR 3 fused
-// radix-4 path (detail::Radix4Tables + the interleaved complex unpack it
-// shipped with) with all tables prebuilt, and BM_RfftRadix2Scalar the
-// pre-PR 3 scalar kernel. The acceptance ratios for the split-radix core
-// are Radix4Ref / PlanarPlanCached and Radix2Scalar / PlanarPlanCached
-// at the power-of-two sizes.
-
-void BM_RfftHalfPlanCached(benchmark::State& state) {
-  const auto x = tone(static_cast<std::size_t>(state.range(0)));
-  std::vector<ftio::signal::Complex> out(x.size() / 2 + 1);
-  for (auto _ : state) {
-    ftio::signal::rfft_half_into(x, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK(BM_RfftHalfPlanCached)->Arg(4096)->Arg(1 << 16)->Arg(7817);
+// transform every consumer runs (caller-owned re/im lanes, no
+// interleaved buffer anywhere), at two powers of two and at the paper's
+// prime IOR length 7817 (odd N: the full complex transform runs through
+// Bluestein). BM_RfftRadix2Scalar is the scalar radix-2 reference kernel
+// with all tables prebuilt; the micro-bench gates normalise every time
+// by its 65536 run. The split-radix speedup is Radix2Scalar /
+// PlanarPlanCached at the power-of-two sizes.
 
 void BM_RfftHalfPlanarPlanCached(benchmark::State& state) {
   const auto x = tone(static_cast<std::size_t>(state.range(0)));
@@ -110,7 +82,7 @@ void BM_RfftHalfPlanarPlanCached(benchmark::State& state) {
     benchmark::DoNotOptimize(out_im.data());
   }
 }
-BENCHMARK(BM_RfftHalfPlanarPlanCached)->Arg(4096)->Arg(1 << 16);
+BENCHMARK(BM_RfftHalfPlanarPlanCached)->Arg(4096)->Arg(1 << 16)->Arg(7817);
 
 void BM_FftPlanarPlanCached(benchmark::State& state) {
   // Planar complex transform on caller-owned lanes — the wavelet-row
@@ -129,46 +101,6 @@ void BM_FftPlanarPlanCached(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FftPlanarPlanCached)->Arg(4096)->Arg(1 << 16)->Arg(1 << 18);
-
-void BM_RfftHalfRadix4Ref(benchmark::State& state) {
-  // The PR 3 packed real path, reproduced with the preserved radix-4
-  // reference kernel: simple bit-reversed pair gather into planar lanes,
-  // fused radix-4 passes, interleaved std::complex unpack with the
-  // index-wrapping modulo it shipped with. Tables prebuilt — its best
-  // plan-cached case.
-  namespace sig = ftio::signal;
-  const auto x = tone(static_cast<std::size_t>(state.range(0)));
-  const std::size_t n = x.size();
-  const std::size_t h = n / 2;
-  const sig::detail::Radix4Tables tables(h);
-  std::vector<sig::Complex> unpack(h + 1);
-  for (std::size_t k = 0; k <= h; ++k) {
-    const double angle = -2.0 * std::numbers::pi * static_cast<double>(k) /
-                         static_cast<double>(n);
-    unpack[k] = sig::Complex(std::cos(angle), std::sin(angle));
-  }
-  std::vector<double> re(h), im(h);
-  std::vector<sig::Complex> out(h + 1);
-  for (auto _ : state) {
-    const std::uint32_t* bp = tables.bitrev.data();
-    for (std::size_t j = 0; j < h; ++j) {
-      const std::size_t s = 2 * static_cast<std::size_t>(bp[j]);
-      re[j] = x[s];
-      im[j] = x[s + 1];
-    }
-    sig::detail::radix4_planar(re.data(), im.data(), tables,
-                               /*invert=*/false);
-    for (std::size_t k = 0; k <= h; ++k) {
-      const sig::Complex zk(re[k % h], im[k % h]);
-      const sig::Complex zmk(re[(h - k) % h], -im[(h - k) % h]);
-      const sig::Complex even = 0.5 * (zk + zmk);
-      const sig::Complex odd = sig::Complex(0.0, -0.5) * (zk - zmk);
-      out[k] = even + unpack[k] * odd;
-    }
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK(BM_RfftHalfRadix4Ref)->Arg(4096)->Arg(1 << 16);
 
 void BM_RfftRadix2Scalar(benchmark::State& state) {
   namespace sig = ftio::signal;
@@ -209,12 +141,12 @@ void BM_RfftSeedColdPath(benchmark::State& state) {
   // complex transform with per-call tables (no half-size fast path).
   const auto x = tone(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    std::vector<ftio::signal::Complex> c(x.size());
-    for (std::size_t i = 0; i < x.size(); ++i) c[i] = {x[i], 0.0};
-    ftio::signal::FftPlan plan(c.size());
-    std::vector<ftio::signal::Complex> out(c.size());
-    plan.forward(c, out);
-    benchmark::DoNotOptimize(out.data());
+    const std::vector<double> im(x.size(), 0.0);
+    ftio::signal::FftPlan plan(x.size());
+    std::vector<double> out_re(x.size()), out_im(x.size());
+    plan.forward_planar(x, im, out_re, out_im);
+    benchmark::DoNotOptimize(out_re.data());
+    benchmark::DoNotOptimize(out_im.data());
   }
 }
 BENCHMARK(BM_RfftSeedColdPath)->Arg(4096)->Arg(7817);

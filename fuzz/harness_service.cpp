@@ -63,9 +63,7 @@ ftio::service::ServiceOptions decode_options(ByteReader& reader) {
   return options;
 }
 
-/// Arms a subset of the service failpoints from input bytes. No-op
-/// payload-wise when the call sites are compiled out — arming is still
-/// exercised for registry coverage.
+/// Arms a subset of the service failpoints from input bytes.
 void arm_failpoints(ByteReader& reader) {
   const std::uint8_t mask = reader.u8();
   const std::uint16_t seed = reader.u16();

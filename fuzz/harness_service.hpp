@@ -12,10 +12,10 @@ namespace ftio::fuzz {
 /// all folded into small ranges) followed by a bounded operation
 /// program: request submissions, framed JSONL/MessagePack submissions
 /// fed raw fuzz bytes (the ParsePolicy::kSkipBad surface), pump cycles,
-/// and stats scrapes, across a handful of tenants. When the library was
-/// built with FTIO_ENABLE_FAILPOINTS the header can additionally arm
-/// the service failpoints with input-derived seeds, so the quarantine,
-/// crash-restart, and overflow paths are in scope of the same inputs.
+/// and stats scrapes, across a handful of tenants. The input header can
+/// additionally arm the service failpoints with input-derived seeds, so
+/// the quarantine, crash-restart, and overflow paths are in scope of the
+/// same inputs.
 ///
 /// The daemon runs in foreground mode — single-threaded and
 /// deterministic — and the harness checks the admission-control

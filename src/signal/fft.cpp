@@ -36,20 +36,6 @@ std::vector<Complex> ifft(std::span<const Complex> input) {
   return out;
 }
 
-std::vector<Complex> rfft(std::span<const double> input) {
-  ftio::util::expect(!input.empty(), "rfft: empty input");
-  std::vector<Complex> out(input.size());
-  get_plan(input.size())->forward_real(input, out);
-  return out;
-}
-
-std::vector<Complex> rfft_half(std::span<const double> input) {
-  ftio::util::expect(!input.empty(), "rfft_half: empty input");
-  std::vector<Complex> out(input.size() / 2 + 1);
-  get_plan(input.size())->forward_real_half(input, out);
-  return out;
-}
-
 std::vector<Complex> dft_direct(std::span<const Complex> input) {
   const std::size_t n = input.size();
   std::vector<Complex> out(n, Complex(0.0, 0.0));

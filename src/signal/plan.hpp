@@ -24,30 +24,26 @@ namespace ftio::signal {
 /// over deinterleaved (planar) real/imag double arrays: each size-L node
 /// combines one L/2 sub-transform of the even samples with two L/4
 /// sub-transforms of the odd samples using the conjugate twiddle pair
-/// (w^k, w^{3k}) — about a third fewer real multiplies than the uniform
-/// fused-radix-4 schedule it replaces (kept as detail::Radix4Tables /
-/// radix4_planar for tests and benches). Input is permuted into
-/// bit-reversed order up front; above detail::kBlockedBitrevMinN the
-/// permutation runs cache-blocked (COBRA-style 32x32 tiles) so large
-/// transforms stop thrashing on the scattered gather, and the butterfly
-/// schedule itself recurses depth-first above detail::kSplitRadixLeafLen
-/// so every subtree that fits in cache is finished before the next one is
-/// touched. The hot loops are contiguous stride-1 double arithmetic with
-/// no std::complex calls, which GCC and Clang auto-vectorise (SSE2
-/// baseline, AVX2 with -march=x86-64-v3 — see the FTIO_X86_64_V3 CMake
-/// option).
+/// (w^k, w^{3k}). Input is permuted into bit-reversed order up front;
+/// above detail::kBlockedBitrevMinN the permutation runs cache-blocked
+/// (COBRA-style 32x32 tiles) so large transforms stop thrashing on the
+/// scattered gather, and the butterfly schedule itself recurses
+/// depth-first above detail::kSplitRadixLeafLen so every subtree that
+/// fits in cache is finished before the next one is touched. The hot
+/// loops are contiguous stride-1 double arithmetic with no std::complex
+/// calls, which GCC and Clang auto-vectorise (SSE2 baseline, AVX2 with
+/// -march=x86-64-v3 — see the FTIO_X86_64_V3 CMake option).
 ///
-/// Layout contract of the planar API: a split-complex signal is a pair of
-/// equal-length double arrays re[]/im[] owned by the caller; element k of
-/// the logical complex signal is (re[k], im[k]). The planar entry points
-/// read and write only such arrays — no interleaved std::complex buffer
-/// is formed anywhere on the path — and are the native representation of
-/// the core; the std::complex entry points survive as thin adapters that
-/// deinterleave/interleave at the edges. Planar outputs are bit-identical
-/// to the corresponding lanes of the interleaved entry points.
+/// Layout contract: a split-complex signal is a pair of equal-length
+/// double arrays re[]/im[] owned by the caller; element k of the logical
+/// complex signal is (re[k], im[k]). The planar entry points below are the
+/// plan's whole public transform surface. The interleaved std::complex
+/// transforms are private: Bluestein, odd N and even N with a
+/// non-power-of-two half still run on them internally, and the vector
+/// fft/ifft conveniences in signal/fft.hpp reach them as friends.
 ///
 /// Most callers should not construct plans directly but go through
-/// `plan_cache()` (or the `fft`/`rfft`/`ifft` free functions, which do so
+/// `plan_cache()` (or the `*_into` free functions below, which do so
 /// internally). Direct construction is the "cold path": it deliberately
 /// pays the full table-building cost per call, which is what the
 /// pre-plan-cache implementation paid on every transform — `bench/
@@ -57,13 +53,6 @@ class FftPlan {
   explicit FftPlan(std::size_t n);
 
   std::size_t size() const { return n_; }
-
-  /// Forward DFT: out_k = sum_n in_n exp(-2*pi*i*k*n/N).
-  /// in.size() == out.size() == size(). in and out may alias.
-  void forward(std::span<const Complex> in, std::span<Complex> out) const;
-
-  /// Inverse DFT including the 1/N normalisation.
-  void inverse(std::span<const Complex> in, std::span<Complex> out) const;
 
   /// Forward DFT of a planar split-complex signal: reads re/im lanes of
   /// length size(), writes the spectrum into the caller-owned out lanes.
@@ -142,40 +131,22 @@ class FftPlan {
   /// path, whose internal transform runs at size()/2.
   std::size_t batch_tile_rows(bool real_input) const;
 
-  /// Forward DFT of a real signal, returning the full N-bin conjugate-
-  /// symmetric spectrum. Legacy adapter: runs the packed half transform
-  /// and mirrors the upper half. out.size() == size().
-  void forward_real(std::span<const double> in, std::span<Complex> out) const;
-
-  /// Packed single-sided transform of a real signal: writes only the
-  /// N/2+1 non-redundant bins (indices k in [0, N/2]); the conjugate-
-  /// symmetric upper half is never computed or stored. Even N runs as one
-  /// half-size complex transform (N real -> N/2 complex + O(N) unpack),
-  /// packed straight into the planar split buffers when N/2 is a power of
-  /// two; odd N falls back to the complex transform and copies the half.
-  /// Interleaved adapter over forward_real_half_planar.
-  /// out.size() == size()/2 + 1.
-  void forward_real_half(std::span<const double> in,
-                         std::span<Complex> out) const;
-
-  /// Planar-output variant of forward_real_half: the packed single-sided
-  /// spectrum lands in caller-owned re/im lanes of length size()/2 + 1.
-  /// Bit-identical to the lanes of forward_real_half.
+  /// Packed single-sided transform of a real signal into caller-owned
+  /// re/im lanes of length size()/2 + 1: only the N/2+1 non-redundant
+  /// bins (indices k in [0, N/2]) are written; the conjugate-symmetric
+  /// upper half is never computed or stored. Even N runs as one half-size
+  /// complex transform (N real -> N/2 complex + O(N) unpack), packed
+  /// straight into the planar split buffers when N/2 is a power of two;
+  /// odd N falls back to the complex transform and copies the half.
   void forward_real_half_planar(std::span<const double> in,
                                 std::span<double> out_re,
                                 std::span<double> out_im) const;
 
-  /// Inverse of forward_real_half: reconstructs the N real samples from
-  /// the packed N/2+1 half spectrum (which must be the transform of a
-  /// real signal: imag(in[0]) and, for even N, imag(in[N/2]) are ignored).
-  /// Includes the 1/N normalisation. Interleaved adapter over
-  /// inverse_real_half_planar. in.size() == size()/2 + 1,
+  /// Inverse of forward_real_half_planar: reconstructs the N real samples
+  /// from the packed half spectrum in re/im lanes of length size()/2 + 1
+  /// (which must be the transform of a real signal: in_im[0] and, for
+  /// even N, in_im[N/2] are ignored). Includes the 1/N normalisation.
   /// out.size() == size().
-  void inverse_real_half(std::span<const Complex> in,
-                         std::span<double> out) const;
-
-  /// Planar-input variant of inverse_real_half: consumes the packed half
-  /// spectrum from caller-owned re/im lanes of length size()/2 + 1.
   void inverse_real_half_planar(std::span<const double> in_re,
                                 std::span<const double> in_im,
                                 std::span<double> out) const;
@@ -187,6 +158,16 @@ class FftPlan {
   void prepare(bool for_real_input) const;
 
  private:
+  friend std::vector<Complex> fft(std::span<const Complex> input);
+  friend std::vector<Complex> ifft(std::span<const Complex> input);
+
+  /// Forward DFT: out_k = sum_n in_n exp(-2*pi*i*k*n/N).
+  /// in.size() == out.size() == size(). in and out may alias.
+  void forward(std::span<const Complex> in, std::span<Complex> out) const;
+
+  /// Inverse DFT including the 1/N normalisation.
+  void inverse(std::span<const Complex> in, std::span<Complex> out) const;
+
   /// One split-radix combine stage of length L >= 8: a size-L node merges
   /// U = FFT_{L/2}(even) with Z/Z' = FFT_{L/4}(x[4n+1]) / FFT_{L/4}
   /// (x[4n+3]) through the twiddle pair (w^k, w^{3k}), k < L/4. Twiddles
@@ -263,19 +244,18 @@ class FftPlan {
 
   // Bluestein tables (non power-of-two N only). Built lazily on the
   // first complex transform: an even non-pow2 plan that only ever serves
-  // forward_real never touches them, and they are the expensive part
-  // (a next_pow2(2N-1) sub-plan plus an FFT of the chirp).
+  // packed real transforms never touches them, and they are the
+  // expensive part (a next_pow2(2N-1) sub-plan plus an FFT of the chirp).
   std::size_t m_ = 0;                   ///< pow2 convolution size >= 2N-1
   mutable std::once_flag bluestein_once_;
   mutable std::vector<Complex> chirp_;  ///< exp(-i*pi*k^2/N), size N
   mutable std::vector<Complex> bhat_;   ///< FFT_m of the wrapped conj chirp
   mutable std::shared_ptr<const FftPlan> sub_;  ///< pow2 plan for m
 
-  // Real-input fast path (even N only). Built lazily on the first
-  // forward_real_half/inverse_real_half call — eager construction would
-  // recursively drag a half-plan chain (N/2, N/4, ...) into the cache for
-  // plans that only ever run complex transforms (e.g. Bluestein
-  // sub-plans).
+  // Real-input fast path (even N only). Built lazily on the first packed
+  // real transform — eager construction would recursively drag a
+  // half-plan chain (N/2, N/4, ...) into the cache for plans that only
+  // ever run complex transforms (e.g. Bluestein sub-plans).
   mutable std::once_flag real_once_;
   mutable std::shared_ptr<const FftPlan> half_;  ///< cached plan for N/2
   mutable std::vector<double> rtw_re_;  ///< Re exp(-2*pi*i*k/N), k <= N/2
@@ -283,7 +263,7 @@ class FftPlan {
 };
 
 /// Thread-safe LRU cache of FftPlans keyed by N. One global instance (see
-/// plan_cache()) backs the fft/rfft/ifft free functions so that repeated
+/// plan_cache()) backs the transform free functions so that repeated
 /// transforms of the same size reuse tables instead of recomputing them.
 class PlanCache {
  public:
@@ -325,22 +305,17 @@ class PlanCache {
   std::unique_ptr<Impl> impl_;
 };
 
-/// The process-wide plan cache used by the fft/rfft/ifft free functions.
+/// The process-wide plan cache used by the transform free functions.
 PlanCache& plan_cache();
 
 /// Convenience: plan_cache().get(n).
 std::shared_ptr<const FftPlan> get_plan(std::size_t n);
 
 // ---------------------------------------------------------------------------
-// Allocation-free transform entry points (plan-cached, scratch reused).
-// Results match the vector-returning fft/ifft/rfft free functions bit for
-// bit; the planar variants match the corresponding lanes bit for bit.
+// Allocation-free planar transform entry points (plan-cached, scratch
+// reused). The planar forms are the library's transform surface: every
+// spectrum, ACF and wavelet path runs on them.
 // ---------------------------------------------------------------------------
-
-/// out.size() == in.size().
-void fft_into(std::span<const Complex> in, std::span<Complex> out);
-void ifft_into(std::span<const Complex> in, std::span<Complex> out);
-void rfft_into(std::span<const double> in, std::span<Complex> out);
 
 /// Planar split-complex transforms on caller-owned re/im lanes (all four
 /// spans the same length). out may fully alias in.
@@ -351,32 +326,24 @@ void ifft_planar_into(std::span<const double> in_re,
                       std::span<const double> in_im,
                       std::span<double> out_re, std::span<double> out_im);
 
-/// Packed single-sided real transform: out.size() == in.size()/2 + 1.
-/// Bit-identical to the first N/2+1 bins of rfft_into.
-void rfft_half_into(std::span<const double> in, std::span<Complex> out);
-
-/// Planar packed single-sided real transform: out lanes of size
-/// in.size()/2 + 1. Bit-identical to the lanes of rfft_half_into.
+/// Packed single-sided real transform: out lanes of size
+/// in.size()/2 + 1.
 void rfft_half_planar_into(std::span<const double> in,
                            std::span<double> out_re,
                            std::span<double> out_im);
 
-/// Inverse of rfft_half_into (1/N normalisation included):
-/// in.size() == out.size()/2 + 1.
-void irfft_half_into(std::span<const Complex> in, std::span<double> out);
-
-/// Planar inverse of rfft_half_planar_into: in lanes of size
-/// out.size()/2 + 1.
+/// Inverse of rfft_half_planar_into (1/N normalisation included): in
+/// lanes of size out.size()/2 + 1.
 void irfft_half_planar_into(std::span<const double> in_re,
                             std::span<const double> in_im,
                             std::span<double> out);
 
 namespace detail {
 
-/// The pre-radix-4 scalar kernel: interleaved std::complex radix-2
+/// The scalar reference kernel: interleaved std::complex radix-2
 /// butterflies. Kept as an independently-implemented reference so tests
 /// can pin the split-radix core against it on every power-of-two size,
-/// and as the baseline bench/micro_fft.cpp measures speedups against.
+/// and as the frozen pivot the micro-bench gates normalise by.
 struct Radix2Tables {
   explicit Radix2Tables(std::size_t n);  ///< n must be a power of two
   std::vector<std::uint32_t> bitrev;     ///< permutation, size n
@@ -386,30 +353,6 @@ struct Radix2Tables {
 /// In-place radix-2 transform of a (a.size() == tables size). No output
 /// scaling: the inverse pass omits the 1/N factor.
 void radix2_scalar(std::span<Complex> a, const Radix2Tables& tables,
-                   bool invert);
-
-/// The PR 3 fused-radix-4 planar kernel, preserved verbatim as a second
-/// independent reference (and as the baseline the split-radix core is
-/// benchmarked against): stages of length 2..n fused in pairs into
-/// radix-4 passes with a radix-2 lead stage when log2 n is odd.
-struct Radix4Tables {
-  explicit Radix4Tables(std::size_t n);  ///< n must be a power of two
-  std::size_t n = 0;
-  std::vector<std::uint32_t> bitrev;     ///< permutation, size n
-  bool lead_radix2 = false;  ///< odd log2 n: one radix-2 stage first
-  bool lead_radix4 = false;  ///< even log2 n: twiddle-free 4-point DFTs
-  struct Pass {
-    std::size_t half = 0;           ///< L/2 butterflies per block of 2L
-    std::vector<double> w1re, w1im; ///< exp(-2*pi*i*j/L),    j < L/2
-    std::vector<double> w2re, w2im; ///< exp(-2*pi*i*j/(2L)), j < L/2
-  };
-  std::vector<Pass> passes;
-};
-
-/// In-place fused radix-4 transform over planar lanes that the caller has
-/// already permuted into bit-reversed order (tables.bitrev). No output
-/// scaling on the inverse.
-void radix4_planar(double* re, double* im, const Radix4Tables& tables,
                    bool invert);
 
 /// Above this size the bit-reversal permutation runs cache-blocked

@@ -21,7 +21,9 @@ struct Failpoint {
 
 /// Registry state. A handful of failpoints evaluated on failure-injection
 /// paths only, so a single mutex plus linear scan is deliberately simple;
-/// the hot-path cost in non-chaos builds is the compiled-out macro.
+/// the hot-path cost while nothing is armed is the macro's relaxed load
+/// of armed_count, which every mutation below keeps equal to the number
+/// of registered points.
 class Registry {
  public:
   static Registry& instance() {
@@ -36,6 +38,7 @@ class Registry {
       points_.emplace_back();
       point = &points_.back();
       point->name = std::string(name);
+      publish_count_locked();
     }
     point->probability = std::clamp(probability, 0.0, 1.0);
     point->rng = Rng(seed);
@@ -46,11 +49,13 @@ class Registry {
   void disarm(std::string_view name) {
     const LockGuard lock(mutex_);
     std::erase_if(points_, [&](const Failpoint& p) { return p.name == name; });
+    publish_count_locked();
   }
 
   void disarm_all() {
     const LockGuard lock(mutex_);
     points_.clear();
+    publish_count_locked();
   }
 
   bool should_fire(std::string_view name) {
@@ -76,6 +81,10 @@ class Registry {
   }
 
  private:
+  void publish_count_locked() FTIO_REQUIRES(mutex_) {
+    armed_count.store(points_.size(), std::memory_order_relaxed);
+  }
+
   Failpoint* find_locked(std::string_view name) FTIO_REQUIRES(mutex_) {
     for (auto& point : points_) {
       if (point.name == name) return &point;
@@ -88,14 +97,6 @@ class Registry {
 };
 
 }  // namespace
-
-bool compiled_in() {
-#if defined(FTIO_ENABLE_FAILPOINTS)
-  return true;
-#else
-  return false;
-#endif
-}
 
 void arm(std::string_view name, double probability, std::uint64_t seed) {
   Registry::instance().arm(name, probability, seed);

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
@@ -15,10 +16,9 @@
 /// and fires only when a test armed that name with a probability and an
 /// RNG seed: the per-failpoint generator makes every firing sequence a
 /// pure function of (seed, evaluation order), so a chaos run that found a
-/// bug replays exactly. In builds without FTIO_ENABLE_FAILPOINTS (plain
-/// Release) the macro is the constant `false` and the site compiles to
-/// nothing; the registry functions below stay linkable so tests can probe
-/// compiled_in() and skip their armed sections.
+/// bug replays exactly. The sites are live in every build: while nothing
+/// is armed the macro costs one relaxed atomic load (the armed count) and
+/// never touches the registry mutex.
 ///
 /// Failpoint names currently wired into the library (see the call sites
 /// for exact semantics):
@@ -41,11 +41,6 @@
 ///   durability.checkpoint_rename the checkpoint rename throws IoError
 namespace ftio::util::failpoints {
 
-/// True when the library was compiled with FTIO_ENABLE_FAILPOINTS (the
-/// call sites are live). arm/disarm still work when false — the armed
-/// state is simply never consulted.
-bool compiled_in();
-
 /// Arms `name`: every evaluation fires with `probability` (clamped to
 /// [0, 1]), drawn from a generator seeded with `seed`. Re-arming resets
 /// the generator and the counters.
@@ -63,10 +58,19 @@ std::size_t evaluation_count(std::string_view name);
 /// Thread-safe; unarmed names return false without counting.
 bool should_fire(std::string_view name);
 
+/// Number of armed failpoints. Written by arm/disarm under the registry
+/// mutex; read with a relaxed load by check() so an unarmed site skips
+/// the registry. A test that arms before handing work to another thread
+/// publishes the count through that hand-off.
+inline std::atomic<std::size_t> armed_count{0};
+
+/// The macro's body: false after one relaxed load while nothing is
+/// armed, otherwise should_fire(name).
+inline bool check(std::string_view name) {
+  return armed_count.load(std::memory_order_relaxed) != 0 &&
+         should_fire(name);
+}
+
 }  // namespace ftio::util::failpoints
 
-#if defined(FTIO_ENABLE_FAILPOINTS)
-#define FTIO_FAILPOINT(name) (::ftio::util::failpoints::should_fire(name))
-#else
-#define FTIO_FAILPOINT(name) false
-#endif
+#define FTIO_FAILPOINT(name) (::ftio::util::failpoints::check(name))

@@ -185,6 +185,49 @@ TEST(DftAnalysis, RejectsBadTolerance) {
   EXPECT_THROW(core::analyze_spectrum(s, opts), ftio::util::InvalidArgument);
 }
 
+TEST(DftAnalysis, RefinementSkipsCandidateWithLargerNeighbour) {
+  // Whole-cycle tones put powers 100 / 90 / 79 into bins 2 / 3 / 4. Bin 2
+  // is below min_cycles, so bin 3 is the sole candidate while its left
+  // neighbour is larger. The parabola through the three bins is nearly
+  // flat (denominator -1), so its vertex lies ten bins to the left, below
+  // 0 Hz; the candidate must keep a frequency within half a bin of its
+  // own, and the metrics stage (which rejects f <= 0) must not throw.
+  const double fs = 1.0;
+  const std::size_t n = 512;
+  const double powers[] = {100.0, 90.0, 79.0};
+  std::vector<double> x(n, 40.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t k = 2; k <= 4; ++k) {
+      x[i] += std::sqrt(powers[k - 2]) *
+              std::cos(2.0 * std::numbers::pi * static_cast<double>(k * i) /
+                       static_cast<double>(n));
+    }
+  }
+  const auto s = sig::compute_spectrum(x, fs);
+  ASSERT_GT(s.power[2], s.power[3]);
+  const auto a = core::analyze_spectrum(s);
+  ASSERT_TRUE(a.dominant_frequency.has_value());
+  ASSERT_EQ(a.candidates.front().bin, 3u);
+  EXPECT_GT(*a.dominant_frequency, 0.0);
+  EXPECT_LE(std::abs(*a.dominant_frequency - s.frequencies[3]),
+            0.5 * s.frequency_step());
+
+  // The same samples as a bandwidth curve (one segment per sample, so
+  // point sampling at fs reproduces x): the full pipeline, metrics on.
+  std::vector<double> times(n + 1);
+  for (std::size_t i = 0; i <= n; ++i) {
+    times[i] = static_cast<double>(i) / fs;
+  }
+  const sig::StepFunction bandwidth(times, x);
+  core::FtioOptions opts;
+  opts.sampling_frequency = fs;
+  core::FtioResult r;
+  ASSERT_NO_THROW(r = core::analyze_bandwidth(bandwidth, opts));
+  EXPECT_EQ(r.sample_count, n);
+  EXPECT_GT(r.frequency(), 0.0);
+  EXPECT_TRUE(r.metrics.has_value());
+}
+
 TEST(DftAnalysis, PeriodicityNames) {
   EXPECT_STREQ(core::periodicity_name(core::Periodicity::kPeriodic),
                "periodic");

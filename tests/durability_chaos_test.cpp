@@ -320,7 +320,6 @@ TEST_F(DurabilityChaosTest, CorruptMidJournalRecordStopsTheScanWithoutCrash) {
 }
 
 TEST_F(DurabilityChaosTest, InProcessShardCrashRecoversFromTheJournal) {
-  if (!fp::compiled_in()) GTEST_SKIP() << "failpoints not compiled in";
   TempDir dir("shard_crash");
   const auto options = durable_options(dir.path());
   svc::IngestDaemon daemon(options);
@@ -345,7 +344,6 @@ TEST_F(DurabilityChaosTest, InProcessShardCrashRecoversFromTheJournal) {
 }
 
 TEST_F(DurabilityChaosTest, JournalWriteFailureTearsTheFrameAndRejects) {
-  if (!fp::compiled_in()) GTEST_SKIP() << "failpoints not compiled in";
   TempDir dir("fp_journal_write");
   const auto options = durable_options(dir.path());
 
@@ -372,7 +370,6 @@ TEST_F(DurabilityChaosTest, JournalWriteFailureTearsTheFrameAndRejects) {
 }
 
 TEST_F(DurabilityChaosTest, JournalFsyncFailureRejectsButTheFrameMayReplay) {
-  if (!fp::compiled_in()) GTEST_SKIP() << "failpoints not compiled in";
   TempDir dir("fp_journal_fsync");
   const auto options = durable_options(dir.path());
 
@@ -399,7 +396,6 @@ TEST_F(DurabilityChaosTest, JournalFsyncFailureRejectsButTheFrameMayReplay) {
 }
 
 TEST_F(DurabilityChaosTest, JournalRotateFailureRejectsAndRecovers) {
-  if (!fp::compiled_in()) GTEST_SKIP() << "failpoints not compiled in";
   TempDir dir("fp_journal_rotate");
   auto options = durable_options(dir.path());
   options.durability.max_segment_bytes = 1;  // every append rotates
@@ -423,7 +419,6 @@ TEST_F(DurabilityChaosTest, JournalRotateFailureRejectsAndRecovers) {
 }
 
 TEST_F(DurabilityChaosTest, CheckpointFailpointsNeverCostJournaledData) {
-  if (!fp::compiled_in()) GTEST_SKIP() << "failpoints not compiled in";
   for (const char* point :
        {"durability.checkpoint_write", "durability.checkpoint_fsync",
         "durability.checkpoint_rename"}) {
@@ -455,7 +450,6 @@ TEST_F(DurabilityChaosTest, CheckpointFailpointsNeverCostJournaledData) {
 }
 
 TEST_F(DurabilityChaosTest, RandomKillAndRestartMatrixNeverLosesAckedFlushes) {
-  if (!fp::compiled_in()) GTEST_SKIP() << "failpoints not compiled in";
   // Probabilistic sweep over every durability failpoint at once: some
   // appends tear, some fsyncs fail, some checkpoints abort — acked
   // flushes must survive each kill, torn frames must never be replayed.

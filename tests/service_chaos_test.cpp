@@ -46,8 +46,8 @@ class ServiceChaosTest : public ::testing::Test {
 }  // namespace
 
 TEST_F(ServiceChaosTest, FailpointFiringSequenceIsSeedDeterministic) {
-  // Registry semantics need no compiled-in call sites: should_fire is
-  // the macro's backend and is testable directly.
+  // Registry semantics, tested on should_fire (the macro's backend)
+  // directly.
   fp::arm("test.point", 0.5, 1234);
   std::vector<bool> first;
   for (int i = 0; i < 200; ++i) first.push_back(fp::should_fire("test.point"));
@@ -80,10 +80,29 @@ TEST_F(ServiceChaosTest, FailpointFiringSequenceIsSeedDeterministic) {
   EXPECT_EQ(fp::fire_count("test.point"), 0u);
 }
 
+TEST_F(ServiceChaosTest, MacroTracksArmedCount) {
+  // The call-site macro consults the registry only while something is
+  // armed; arm/disarm/disarm_all keep the count it reads exact.
+  EXPECT_EQ(fp::armed_count.load(), 0u);
+  EXPECT_FALSE(FTIO_FAILPOINT("test.point"));
+
+  fp::arm("test.point", 1.0, 1);
+  fp::arm("test.point", 1.0, 2);  // re-arming does not double-count
+  fp::arm("test.other", 0.0, 1);
+  EXPECT_EQ(fp::armed_count.load(), 2u);
+  EXPECT_TRUE(FTIO_FAILPOINT("test.point"));
+  EXPECT_FALSE(FTIO_FAILPOINT("test.other"));
+  EXPECT_FALSE(FTIO_FAILPOINT("test.unarmed"));
+  EXPECT_EQ(fp::evaluation_count("test.point"), 1u);
+
+  fp::disarm("test.point");
+  EXPECT_EQ(fp::armed_count.load(), 1u);
+  EXPECT_FALSE(FTIO_FAILPOINT("test.point"));
+  fp::disarm_all();
+  EXPECT_EQ(fp::armed_count.load(), 0u);
+}
+
 TEST_F(ServiceChaosTest, ParseGarbageFailpointDrivesSkipBadCounters) {
-  if (!fp::compiled_in()) {
-    GTEST_SKIP() << "library built without FTIO_ENABLE_FAILPOINTS";
-  }
   const std::string good =
       R"({"type":"io","kind":"write","rank":0,"start":0.0,"end":1.0,"bytes":8})"
       "\n";
@@ -102,9 +121,6 @@ TEST_F(ServiceChaosTest, ParseGarbageFailpointDrivesSkipBadCounters) {
 }
 
 TEST_F(ServiceChaosTest, ThrowingSessionIsQuarantinedWithoutCollateral) {
-  if (!fp::compiled_in()) {
-    GTEST_SKIP() << "library built without FTIO_ENABLE_FAILPOINTS";
-  }
   svc::IngestDaemon daemon(foreground_options());
 
   // Establish the victim's session, then make its next ingest throw.
@@ -144,9 +160,6 @@ TEST_F(ServiceChaosTest, ThrowingSessionIsQuarantinedWithoutCollateral) {
 // exactly (a first-draw fire poisons immediately and stops evaluating,
 // a no-fire second draw proceeds to a third evaluation in analyze).
 TEST_F(ServiceChaosTest, SameCyclePoisonAfterDueQueueingIsQuarantineOnly) {
-  if (!fp::compiled_in()) {
-    GTEST_SKIP() << "library built without FTIO_ENABLE_FAILPOINTS";
-  }
   bool exercised = false;
   for (std::uint64_t seed = 0; seed < 64 && !exercised; ++seed) {
     svc::ServiceOptions options = foreground_options();
@@ -174,9 +187,6 @@ TEST_F(ServiceChaosTest, SameCyclePoisonAfterDueQueueingIsQuarantineOnly) {
 }
 
 TEST_F(ServiceChaosTest, RepeatedBuildFailuresQuarantineTheTenant) {
-  if (!fp::compiled_in()) {
-    GTEST_SKIP() << "library built without FTIO_ENABLE_FAILPOINTS";
-  }
   svc::ServiceOptions options = foreground_options();
   options.max_build_failures = 3;
   svc::IngestDaemon daemon(options);
@@ -197,9 +207,6 @@ TEST_F(ServiceChaosTest, RepeatedBuildFailuresQuarantineTheTenant) {
 }
 
 TEST_F(ServiceChaosTest, ShardCrashRestartsWithoutLosingTheDaemon) {
-  if (!fp::compiled_in()) {
-    GTEST_SKIP() << "library built without FTIO_ENABLE_FAILPOINTS";
-  }
   svc::IngestDaemon daemon(foreground_options());
 
   ASSERT_EQ(daemon.submit("app", phase(0.0, 2.0)), svc::Admission::kAccepted);
@@ -229,9 +236,6 @@ TEST_F(ServiceChaosTest, ShardCrashRestartsWithoutLosingTheDaemon) {
 }
 
 TEST_F(ServiceChaosTest, QueueOverflowFailpointExercisesRejectionPath) {
-  if (!fp::compiled_in()) {
-    GTEST_SKIP() << "library built without FTIO_ENABLE_FAILPOINTS";
-  }
   svc::IngestDaemon daemon(foreground_options());
   fp::arm("service.queue_overflow", 1.0, 9);
   EXPECT_EQ(daemon.submit("app", phase(0.0, 2.0)),
@@ -245,9 +249,6 @@ TEST_F(ServiceChaosTest, QueueOverflowFailpointExercisesRejectionPath) {
 }
 
 TEST_F(ServiceChaosTest, AllFailpointsArmedForegroundStorm) {
-  if (!fp::compiled_in()) {
-    GTEST_SKIP() << "library built without FTIO_ENABLE_FAILPOINTS";
-  }
   svc::ServiceOptions options = foreground_options();
   options.shards = 2;
   options.mailbox_capacity = 8;
@@ -290,9 +291,6 @@ TEST_F(ServiceChaosTest, AllFailpointsArmedForegroundStorm) {
 }
 
 TEST_F(ServiceChaosTest, AllFailpointsArmedBackgroundStorm) {
-  if (!fp::compiled_in()) {
-    GTEST_SKIP() << "library built without FTIO_ENABLE_FAILPOINTS";
-  }
   fp::arm("service.alloc", 0.05, 201);
   fp::arm("service.session_throw", 0.05, 202);
   fp::arm("service.slow_shard", 0.02, 203);

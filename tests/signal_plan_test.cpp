@@ -31,6 +31,23 @@ std::vector<double> random_real(std::size_t n, std::uint64_t seed) {
   return v;
 }
 
+/// Gathers planar lanes into complex values for comparison against the
+/// interleaved oracles (dft_direct, radix2_scalar).
+std::vector<Complex> from_lanes(const std::vector<double>& re,
+                                const std::vector<double>& im) {
+  std::vector<Complex> c(re.size());
+  for (std::size_t i = 0; i < re.size(); ++i) c[i] = Complex(re[i], im[i]);
+  return c;
+}
+
+/// Packed single-sided spectrum of a real signal as complex bins.
+std::vector<Complex> half_spectrum(const std::vector<double>& x) {
+  const std::size_t bins = x.size() / 2 + 1;
+  std::vector<double> re(bins), im(bins);
+  sig::rfft_half_planar_into(x, re, im);
+  return from_lanes(re, im);
+}
+
 double max_abs_diff(const std::vector<Complex>& a,
                     const std::vector<Complex>& b) {
   double d = 0.0;
@@ -64,14 +81,55 @@ TEST(FftPlan, ForwardMatchesDirectDft) {
   }
 }
 
+TEST(FftPlan, PlanarMatchesDirectDft) {
+  // The planar complex entry points against the O(N^2) oracle, forward
+  // and inverse, plus the documented full-aliasing in-place form, which
+  // must reproduce the out-of-place bits.
+  std::vector<std::size_t> sizes(std::begin(kSizes), std::end(kSizes));
+  sizes.push_back(4096);
+  for (std::size_t n : sizes) {
+    const auto x = random_signal(n, 8100 + n);
+    std::vector<double> in_re(n), in_im(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      in_re[i] = x[i].real();
+      in_im[i] = x[i].imag();
+    }
+
+    std::vector<double> out_re(n), out_im(n);
+    sig::fft_planar_into(in_re, in_im, out_re, out_im);
+    EXPECT_LE(max_abs_diff(from_lanes(out_re, out_im), sig::dft_direct(x)),
+              tolerance(n))
+        << "forward n = " << n;
+
+    std::vector<double> io_re(in_re), io_im(in_im);
+    sig::fft_planar_into(io_re, io_im, io_re, io_im);
+    EXPECT_EQ(io_re, out_re) << "in-place re n = " << n;
+    EXPECT_EQ(io_im, out_im) << "in-place im n = " << n;
+
+    // Inverse oracle: ifft(x) = conj(dft(conj(x))) / N.
+    std::vector<Complex> cx(n);
+    for (std::size_t i = 0; i < n; ++i) cx[i] = std::conj(x[i]);
+    auto want_inv = sig::dft_direct(cx);
+    for (auto& v : want_inv) v = std::conj(v) / static_cast<double>(n);
+    sig::ifft_planar_into(in_re, in_im, out_re, out_im);
+    EXPECT_LE(max_abs_diff(from_lanes(out_re, out_im), want_inv),
+              tolerance(n))
+        << "inverse n = " << n;
+  }
+}
+
 TEST(FftPlan, RfftMatchesDirectDft) {
-  for (std::size_t n : kSizes) {
+  std::vector<std::size_t> sizes(std::begin(kSizes), std::end(kSizes));
+  sizes.push_back(128);
+  sizes.push_back(4096);
+  for (std::size_t n : sizes) {
     const auto x = random_real(n, 2000 + n);
     std::vector<Complex> cx(n);
     for (std::size_t i = 0; i < n; ++i) cx[i] = Complex(x[i], 0.0);
-    const auto want = sig::dft_direct(cx);
-    const auto got = sig::rfft(x);  // half-size fast path for even n
-    ASSERT_EQ(got.size(), n);
+    auto want = sig::dft_direct(cx);
+    want.resize(n / 2 + 1);
+    const auto got = half_spectrum(x);  // half-size fast path for even n
+    ASSERT_EQ(got.size(), n / 2 + 1);
     EXPECT_LE(max_abs_diff(got, want), tolerance(n)) << "n = " << n;
   }
 }
@@ -97,23 +155,6 @@ TEST(FftPlan, RepeatedCallsAreBitForBitIdentical) {
   }
 }
 
-TEST(FftPlan, IntoVariantsMatchVectorVariants) {
-  const std::size_t n = 120;
-  const auto x = random_signal(n, 5);
-  const auto xr = random_real(n, 6);
-
-  std::vector<Complex> out(n);
-  sig::fft_into(x, out);
-  EXPECT_EQ(std::memcmp(out.data(), sig::fft(x).data(), n * sizeof(Complex)),
-            0);
-  sig::ifft_into(x, out);
-  EXPECT_EQ(std::memcmp(out.data(), sig::ifft(x).data(), n * sizeof(Complex)),
-            0);
-  sig::rfft_into(xr, out);
-  EXPECT_EQ(std::memcmp(out.data(), sig::rfft(xr).data(), n * sizeof(Complex)),
-            0);
-}
-
 TEST(FftPlan, SplitRadixCoreMatchesRadix2ReferenceOnEveryPow2) {
   // Property: the split-radix planar core and the scalar interleaved
   // radix-2 reference kernel are the same transform, on every
@@ -128,116 +169,26 @@ TEST(FftPlan, SplitRadixCoreMatchesRadix2ReferenceOnEveryPow2) {
     std::vector<Complex> want(x);
     sig::detail::radix2_scalar(want, tables, /*invert=*/false);
 
-    sig::FftPlan plan(n);
-    std::vector<Complex> got(n);
-    plan.forward(x, got);
-    EXPECT_LE(max_abs_diff(got, want), tolerance(n)) << "forward n = " << n;
-
-    // Inverse agreement (reference kernel omits the 1/N scaling).
-    std::vector<Complex> want_inv(x);
-    sig::detail::radix2_scalar(want_inv, tables, /*invert=*/true);
-    for (auto& v : want_inv) v /= static_cast<double>(n);
-    std::vector<Complex> got_inv(n);
-    plan.inverse(x, got_inv);
-    EXPECT_LE(max_abs_diff(got_inv, want_inv), tolerance(n))
-        << "inverse n = " << n;
-  }
-}
-
-TEST(FftPlan, SplitRadixCoreMatchesRadix4ReferenceOnEveryPow2) {
-  // The PR 3 fused-radix-4 kernel is preserved verbatim as
-  // detail::radix4_planar; pin the split-radix core against it too so
-  // the two independent planar schedules cross-check each other.
-  for (std::size_t n = 2; n <= (std::size_t{1} << 16); n <<= 1) {
-    const auto x = random_signal(n, 4300 + n);
-
-    const sig::detail::Radix4Tables tables(n);
-    std::vector<double> re(n);
-    std::vector<double> im(n);
-    sig::detail::bitrev_permute_pairs(
-        tables.bitrev.data(), n,
-        reinterpret_cast<const double*>(x.data()), re.data(), im.data());
-    sig::detail::radix4_planar(re.data(), im.data(), tables,
-                               /*invert=*/false);
-
-    sig::FftPlan plan(n);
-    std::vector<Complex> got(n);
-    plan.forward(x, got);
-    double diff = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      diff = std::max(diff, std::abs(got[i] - Complex(re[i], im[i])));
-    }
-    EXPECT_LE(diff, tolerance(n)) << "n = " << n;
-  }
-}
-
-TEST(FftPlan, PlanarMatchesInterleavedBitForBit) {
-  // The planar split-complex entry points and the interleaved adapters
-  // must produce identical bits lane for lane — pow2 (split-radix core)
-  // and non-pow2 (Bluestein edge) alike, forward and inverse, plus the
-  // documented full-aliasing in-place form.
-  for (std::size_t n : {2u, 8u, 64u, 97u, 360u, 1024u, 4096u}) {
-    const auto x = random_signal(n, 8100 + n);
     std::vector<double> in_re(n), in_im(n);
     for (std::size_t i = 0; i < n; ++i) {
       in_re[i] = x[i].real();
       in_im[i] = x[i].imag();
     }
 
-    std::vector<Complex> want(n);
-    sig::fft_into(x, want);
+    sig::FftPlan plan(n);
     std::vector<double> out_re(n), out_im(n);
-    sig::fft_planar_into(in_re, in_im, out_re, out_im);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(out_re[i], want[i].real()) << "fwd re n=" << n << " i=" << i;
-      EXPECT_EQ(out_im[i], want[i].imag()) << "fwd im n=" << n << " i=" << i;
-    }
+    plan.forward_planar(in_re, in_im, out_re, out_im);
+    EXPECT_LE(max_abs_diff(from_lanes(out_re, out_im), want), tolerance(n))
+        << "forward n = " << n;
 
-    // In-place planar call (full aliasing) must match the out-of-place.
-    std::vector<double> io_re(in_re), io_im(in_im);
-    sig::fft_planar_into(io_re, io_im, io_re, io_im);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(io_re[i], out_re[i]) << "in-place re n=" << n << " i=" << i;
-      EXPECT_EQ(io_im[i], out_im[i]) << "in-place im n=" << n << " i=" << i;
-    }
-
-    std::vector<Complex> want_inv(n);
-    sig::ifft_into(x, want_inv);
-    sig::ifft_planar_into(in_re, in_im, out_re, out_im);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(out_re[i], want_inv[i].real())
-          << "inv re n=" << n << " i=" << i;
-      EXPECT_EQ(out_im[i], want_inv[i].imag())
-          << "inv im n=" << n << " i=" << i;
-    }
-  }
-}
-
-TEST(FftPlan, RealHalfPlanarMatchesInterleavedBitForBit) {
-  // Planar and interleaved packed real transforms, both directions, on
-  // every parity class: pow2, even with pow2 half, even with non-pow2
-  // half, odd, prime.
-  const std::size_t sizes[] = {1, 2, 4, 6, 8, 12, 31, 60, 97, 128, 360,
-                               1024, 4096};
-  for (std::size_t n : sizes) {
-    const auto x = random_real(n, 8200 + n);
-    const std::size_t bins = n / 2 + 1;
-
-    std::vector<Complex> want(bins);
-    sig::rfft_half_into(x, want);
-    std::vector<double> hre(bins), him(bins);
-    sig::rfft_half_planar_into(x, hre, him);
-    for (std::size_t k = 0; k < bins; ++k) {
-      EXPECT_EQ(hre[k], want[k].real()) << "n=" << n << " bin " << k;
-      EXPECT_EQ(him[k], want[k].imag()) << "n=" << n << " bin " << k;
-    }
-
-    std::vector<double> back_i(n), back_p(n);
-    sig::irfft_half_into(want, back_i);
-    sig::irfft_half_planar_into(hre, him, back_p);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(back_p[i], back_i[i]) << "n=" << n << " sample " << i;
-    }
+    // Inverse agreement (reference kernel omits the 1/N scaling).
+    std::vector<Complex> want_inv(x);
+    sig::detail::radix2_scalar(want_inv, tables, /*invert=*/true);
+    for (auto& v : want_inv) v /= static_cast<double>(n);
+    plan.inverse_planar(in_re, in_im, out_re, out_im);
+    EXPECT_LE(max_abs_diff(from_lanes(out_re, out_im), want_inv),
+              tolerance(n))
+        << "inverse n = " << n;
   }
 }
 
@@ -279,50 +230,27 @@ TEST(FftPlan, BlockedBitrevLargeTransformsMatchReference) {
   EXPECT_LE(err, tolerance(2 * n));
 }
 
-TEST(FftPlan, RfftHalfMatchesLegacyFullSpectrum) {
-  // Packed half-spectrum output must match the legacy full-N spectrum on
-  // the non-redundant bins to 1e-12 across power-of-two, even non-pow2,
-  // odd, and prime N — including the N=2 and N=4 corner sizes whose
-  // "interior" is only DC and Nyquist.
-  const std::size_t sizes[] = {1, 2,  4,   6,   8,   12,  16, 31, 60,
-                               97, 101, 128, 360, 769, 1000, 1024, 4096};
-  for (std::size_t n : sizes) {
-    const auto x = random_real(n, 5200 + n);
-    const auto full = sig::rfft(x);
-    const auto half = sig::rfft_half(x);
-    ASSERT_EQ(half.size(), n / 2 + 1) << "n = " << n;
-    for (std::size_t k = 0; k < half.size(); ++k) {
-      EXPECT_LE(std::abs(half[k] - full[k]), 1e-12)
-          << "n = " << n << " bin " << k;
-    }
-    // The mirrored legacy half must be the conjugate of the packed bins.
-    for (std::size_t k = 1; k + k < n; ++k) {
-      EXPECT_LE(std::abs(full[n - k] - std::conj(half[k])), 1e-12)
-          << "n = " << n << " mirror bin " << k;
-    }
-  }
-}
-
 TEST(FftPlan, RfftHalfNyquistBinIsReal) {
   // Even N: bin N/2 of a real signal satisfies X_{N/2} = conj(X_{N/2}).
   for (std::size_t n : {2u, 4u, 6u, 16u, 360u}) {
     const auto x = random_real(n, 6200 + n);
-    const auto half = sig::rfft_half(x);
+    const auto half = half_spectrum(x);
     EXPECT_LE(std::abs(half[n / 2].imag()), tolerance(n)) << "n = " << n;
     EXPECT_LE(std::abs(half[0].imag()), tolerance(n)) << "n = " << n;
   }
 }
 
 TEST(FftPlan, InverseRealHalfRoundTrips) {
-  // irfft_half(rfft_half(x)) == x for every parity class of N: pow2,
-  // even with pow2 half, even with non-pow2 half, odd, prime.
-  const std::size_t sizes[] = {1, 2, 4, 6, 8, 12, 31, 60, 97, 128, 360, 1024};
+  // The packed real inverse undoes the forward for every parity class
+  // of N: pow2, even with pow2 half, even with non-pow2 half, odd, prime.
+  const std::size_t sizes[] = {1,  2,  4,  6,   8,   12,   31,
+                               60, 97, 128, 360, 1024, 4096};
   for (std::size_t n : sizes) {
     const auto x = random_real(n, 7200 + n);
-    std::vector<Complex> half(n / 2 + 1);
-    sig::rfft_half_into(x, half);
+    std::vector<double> hre(n / 2 + 1), him(n / 2 + 1);
+    sig::rfft_half_planar_into(x, hre, him);
     std::vector<double> back(n);
-    sig::irfft_half_into(half, back);
+    sig::irfft_half_planar_into(hre, him, back);
     double err = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       err = std::max(err, std::abs(back[i] - x[i]));
@@ -525,8 +453,9 @@ TEST(PlanCache, LruEviction) {
   EXPECT_EQ(cache.get(8).get(), p8.get());
   EXPECT_NE(cache.get(16).get(), p16.get());
   // Evicted handles stay usable (shared ownership).
-  std::vector<Complex> out(16);
-  p16->forward(random_signal(16, 9), out);
+  const auto x = random_real(16, 9);
+  std::vector<double> out_re(16), out_im(16);
+  p16->forward_planar(x, x, out_re, out_im);
 }
 
 TEST(PlanCache, SetCapacityShrinks) {
