@@ -55,6 +55,20 @@ void BM_BandwidthSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_BandwidthSweep)->Arg(256)->Arg(2048);
 
+// LAMMPS ranks dump one after another through a serialised path, so no
+// two consecutive requests share a start or an end: every event is its
+// own run and the sweep sorts all 2R events, the case coalescing cannot
+// help.
+void BM_BandwidthSweepLammps(benchmark::State& state) {
+  const auto trace =
+      ftio::workloads::generate_lammps_trace(ftio::workloads::LammpsConfig{});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ftio::trace::bandwidth_signal(trace));
+  }
+  state.counters["requests"] = static_cast<double>(trace.requests.size());
+}
+BENCHMARK(BM_BandwidthSweepLammps);
+
 void BM_AutocorrelationRefinement(benchmark::State& state) {
   // The optional ACF pass cost the paper +0.26 s on LAMMPS.
   ftio::workloads::LammpsConfig config;

@@ -1,6 +1,7 @@
 #include "fuzz/harness_pipeline.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -89,6 +90,31 @@ ftio::core::FtioOptions decode_options(ByteReader& reader) {
   return options;
 }
 
+/// The offline sweep (coalesced runs, one sort) and the streaming
+/// engine's incremental sweep (raw events, merged per chunk) build their
+/// events separately but document bit-identical curves.
+void check_sweeps_agree(const ftio::trace::Trace& trace) {
+  const auto offline = ftio::trace::bandwidth_signal(trace);
+  ftio::trace::IncrementalBandwidth incremental;
+  incremental.extend(trace.requests);
+  const auto& online = incremental.curve();
+  const auto same_bits = [](std::span<const double> a,
+                            std::span<const double> b) {
+    return a.size() == b.size() &&
+           std::equal(a.begin(), a.end(), b.begin(), [](double x, double y) {
+             return std::bit_cast<std::uint64_t>(x) ==
+                    std::bit_cast<std::uint64_t>(y);
+           });
+  };
+  if (!same_bits(offline.times(), online.times()) ||
+      !same_bits(offline.values(), online.values())) {
+    std::fprintf(stderr,
+                 "fuzz_pipeline: bandwidth_signal differs from "
+                 "IncrementalBandwidth\n");
+    std::abort();
+  }
+}
+
 void run_offline(const ftio::trace::Trace& trace,
                  const ftio::core::FtioOptions& options) {
   ftio::core::FtioResult result;
@@ -156,6 +182,7 @@ int ftio_fuzz_pipeline(const std::uint8_t* data, std::size_t size) {
   if (trace.requests.empty()) return 0;
 
   ByteReader tail(data, size);  // reuse the prefix for streaming knobs
+  check_sweeps_agree(trace);
   run_offline(trace, options);
   run_streaming(trace, options, tail);
   return 0;

@@ -84,30 +84,79 @@ bool request_selected(const IoRequest& r, const BandwidthOptions& options) {
   return true;
 }
 
-/// Sweeps sorted events[from..), continuing the prefix sum from running
+/// Calls visit(start, end, bw) for every request `options` and
+/// `only_rank` select, clipped to the window, in request order. Requests
+/// that clip to nothing or carry no bandwidth are skipped.
+template <typename Visit>
+void for_each_swept_request(std::span<const IoRequest> requests,
+                            const BandwidthOptions& options,
+                            std::optional<int> only_rank, Visit&& visit) {
+  for (const auto& r : requests) {
+    if (only_rank && r.rank != *only_rank) continue;
+    if (!request_selected(r, options)) continue;
+    double start = r.start;
+    double end = r.end;
+    if (options.window_start) start = std::max(start, *options.window_start);
+    if (options.window_end) end = std::min(end, *options.window_end);
+    if (end <= start) continue;
+    const double bw = r.bandwidth();
+    if (bw <= 0.0) continue;
+    visit(start, end, bw);
+  }
+}
+
+/// `count` identical sweep events. Sweeping a run applies its delta
+/// `count` times: exactly the adds of its events, which sit next to each
+/// other in any (time, delta) sort because that order is total.
+struct EventRun : BandwidthEvent {
+  std::size_t count = 1;
+};
+
+/// Multiplicity of one sweep element; a plain event is a run of one.
+constexpr std::size_t run_count(const BandwidthEvent&) { return 1; }
+constexpr std::size_t run_count(const EventRun& run) { return run.count; }
+
+/// Sweeps sorted runs[from..), continuing the prefix sum from running
 /// level `level`: appends one boundary per distinct event time to `times`
 /// (with the unclamped level after its deltas to `raw_levels`, when
 /// given), and the clamped segment value for every boundary except the
 /// final one to `values`. The left-to-right accumulation order is exactly
 /// the full sweep's, so restarting from a cached level reproduces the
 /// full rebuild bit for bit. Returns the final running level.
-double sweep_tail(std::span<const BandwidthEvent> events, std::size_t from,
-                  double level, std::vector<double>& times,
-                  std::vector<double>& values,
+template <typename Run>
+double sweep_tail(std::span<const Run> runs, std::size_t from, double level,
+                  std::vector<double>& times, std::vector<double>& values,
                   std::vector<double>* raw_levels) {
   std::size_t ev = from;
-  while (ev < events.size()) {
-    const double t = events[ev].time;
-    while (ev < events.size() && events[ev].time == t) {
-      level += events[ev].delta;
+  while (ev < runs.size()) {
+    const double t = runs[ev].time;
+    while (ev < runs.size() && runs[ev].time == t) {
+      for (std::size_t n = run_count(runs[ev]); n > 0; --n) {
+        level += runs[ev].delta;
+      }
       ++ev;
     }
     times.push_back(t);
     if (raw_levels != nullptr) raw_levels->push_back(level);
     // The final boundary closes the support; it has no following segment.
-    if (ev < events.size()) values.push_back(std::max(level, 0.0));
+    if (ev < runs.size()) values.push_back(std::max(level, 0.0));
   }
   return level;
+}
+
+constexpr std::size_t kNoRun = static_cast<std::size_t>(-1);
+
+/// Appends an event to `runs`, folding it into runs[last] when that run
+/// holds the same (time, delta); otherwise `last` moves to the new run.
+void add_event(std::vector<EventRun>& runs, std::size_t& last, double time,
+               double delta) {
+  if (last < runs.size() && runs[last].time == time &&
+      runs[last].delta == delta) {
+    ++runs[last].count;
+    return;
+  }
+  last = runs.size();
+  runs.push_back({{time, delta}, 1});
 }
 
 ftio::signal::StepFunction sweep(const Trace& trace,
@@ -115,11 +164,28 @@ ftio::signal::StepFunction sweep(const Trace& trace,
                                  std::optional<int> only_rank) {
   // Event sweep: +bw at request start, -bw at request end; prefix-summing
   // the sorted events yields the piecewise-constant aggregate bandwidth.
-  std::vector<BandwidthEvent> events;
-  events.reserve(trace.requests.size() * 2);
-  append_bandwidth_events(trace.requests, options, only_rank, events);
-  std::sort(events.begin(), events.end(), bandwidth_event_less);
-  return bandwidth_from_events(events);
+  // The ranks of a collective phase issue identical requests, so a start
+  // (end) equal to the previous request's start (end) folds into its run
+  // and the sort orders U runs instead of 2R events.
+  std::vector<EventRun> runs;
+  std::size_t last_start = kNoRun;
+  std::size_t last_end = kNoRun;
+  for_each_swept_request(trace.requests, options, only_rank,
+                         [&](double start, double end, double bw) {
+                           add_event(runs, last_start, start, bw);
+                           add_event(runs, last_end, end, -bw);
+                         });
+  if (runs.empty()) return {};
+  std::sort(runs.begin(), runs.end(), bandwidth_event_less);
+  // Distinct event times are the segment boundaries; the value of segment
+  // [times[i], times[i+1]) is the running level after applying all deltas
+  // at times[i].
+  std::vector<double> times;
+  times.reserve(runs.size());
+  std::vector<double> seg_values;
+  seg_values.reserve(runs.size());
+  sweep_tail<EventRun>(runs, 0, 0.0, times, seg_values, nullptr);
+  return ftio::signal::StepFunction(std::move(times), std::move(seg_values));
 }
 
 }  // namespace
@@ -133,33 +199,11 @@ void append_bandwidth_events(std::span<const IoRequest> requests,
                              const BandwidthOptions& options,
                              std::optional<int> only_rank,
                              std::vector<BandwidthEvent>& events) {
-  for (const auto& r : requests) {
-    if (only_rank && r.rank != *only_rank) continue;
-    if (!request_selected(r, options)) continue;
-    double start = r.start;
-    double end = r.end;
-    if (options.window_start) start = std::max(start, *options.window_start);
-    if (options.window_end) end = std::min(end, *options.window_end);
-    if (end <= start) continue;
-    const double bw = r.bandwidth();
-    if (bw <= 0.0) continue;
-    events.push_back({start, bw});
-    events.push_back({end, -bw});
-  }
-}
-
-ftio::signal::StepFunction bandwidth_from_events(
-    std::span<const BandwidthEvent> events) {
-  if (events.empty()) return {};
-  // Distinct event times are the segment boundaries; the value of segment
-  // [times[i], times[i+1]) is the running level after applying all deltas
-  // at times[i].
-  std::vector<double> times;
-  times.reserve(events.size() + 1);
-  std::vector<double> seg_values;
-  seg_values.reserve(events.size());
-  sweep_tail(events, 0, 0.0, times, seg_values, nullptr);
-  return ftio::signal::StepFunction(std::move(times), std::move(seg_values));
+  for_each_swept_request(requests, options, only_rank,
+                         [&events](double start, double end, double bw) {
+                           events.push_back({start, bw});
+                           events.push_back({end, -bw});
+                         });
 }
 
 IncrementalBandwidth::IncrementalBandwidth(BandwidthOptions options)
@@ -209,7 +253,8 @@ double IncrementalBandwidth::extend(std::span<const IoRequest> requests) {
     // the clamp of the cached level, exactly what a full sweep stores.
     tail_values.push_back(std::max(level, 0.0));
   }
-  sweep_tail(events_, from, level, tail_times, tail_values, &raw_levels_);
+  sweep_tail<BandwidthEvent>(events_, from, level, tail_times, tail_values,
+                             &raw_levels_);
   curve_.splice_tail(keep, tail_times, tail_values);
   return dirty;
 }

@@ -89,12 +89,6 @@ void append_bandwidth_events(std::span<const IoRequest> requests,
                              std::optional<int> only_rank,
                              std::vector<BandwidthEvent>& events);
 
-/// Builds the piecewise-constant curve from events sorted by
-/// bandwidth_event_less. Shared by bandwidth_signal and the streaming
-/// engine's IncrementalBandwidth so both produce bit-identical curves.
-ftio::signal::StepFunction bandwidth_from_events(
-    std::span<const BandwidthEvent> events);
-
 /// Incrementally maintained bandwidth_signal: extend() merges the events
 /// of a freshly flushed request chunk and re-sweeps only the curve suffix
 /// the new events can affect, so a stream of appended flushes costs
@@ -166,7 +160,14 @@ class IncrementalBandwidth {
 /// (i.e., bandwidth at the application level) is evaluated ... with a
 /// linear complexity with the number of I/O requests"). Each request
 /// contributes bytes/duration uniformly over [start, end); contributions
-/// add where requests overlap. O(R log R) including the event sort.
+/// add where requests overlap. O(R + U log U), where U is the number of
+/// coalesced runs: the start (end) event of a request folds into the
+/// previous selected request's start (end) run when time and delta are
+/// equal. U is the full 2R events when no two adjacent requests share a
+/// start or an end; the ranks of a collective phase issue identical
+/// requests, so paper-scale IOR traces sort about 160 runs instead of
+/// up to 492k events. The curve is bit-identical to sweeping every event
+/// separately.
 ftio::signal::StepFunction bandwidth_signal(const Trace& trace,
                                             const BandwidthOptions& options = {});
 

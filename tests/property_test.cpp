@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -187,6 +189,37 @@ TEST_P(PropertyTest, BandwidthIsNonNegativeEverywhere) {
   const auto t = random_trace(rng_);
   const auto f = tr::bandwidth_signal(t);
   for (double v : f.values()) EXPECT_GE(v, 0.0);
+}
+
+TEST_P(PropertyTest, BandwidthSweepIsIndependentOfRequestOrder) {
+  // The (time, delta) tie-break makes the curve independent of ingestion
+  // order. Snapping times to a 0.5 s grid and repeating requests gives
+  // the sweep many coinciding and identical events to fold.
+  auto t = random_trace(rng_, 120);
+  const std::size_t drawn = t.requests.size();
+  for (std::size_t i = 0; i < drawn; ++i) {
+    tr::IoRequest r = t.requests[i];  // a copy: push_back reallocates
+    r.start = std::floor(2.0 * r.start) / 2.0;
+    r.end = r.start + 0.5 * static_cast<double>(rng_.uniform_int(1, 8));
+    t.requests[i] = r;
+    const auto copies = rng_.bernoulli(0.5) ? rng_.uniform_int(1, 8) : 0;
+    for (std::int64_t c = 0; c < copies; ++c) t.requests.push_back(r);
+  }
+  const auto reference = tr::bandwidth_signal(t);
+  for (int rep = 0; rep < 3; ++rep) {
+    std::shuffle(t.requests.begin(), t.requests.end(), rng_.engine());
+    const auto shuffled = tr::bandwidth_signal(t);
+    ASSERT_EQ(shuffled.times().size(), reference.times().size());
+    for (std::size_t i = 0; i < reference.times().size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(shuffled.times()[i]),
+                std::bit_cast<std::uint64_t>(reference.times()[i]));
+    }
+    for (std::size_t i = 0; i < reference.values().size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(shuffled.values()[i]),
+                std::bit_cast<std::uint64_t>(reference.values()[i]))
+          << "segment " << i;
+    }
+  }
 }
 
 TEST_P(PropertyTest, PerRankSignalsSumToAggregate) {

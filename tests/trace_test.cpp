@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <optional>
+#include <random>
 #include <vector>
 
 #include "trace/formats.hpp"
@@ -152,6 +157,154 @@ TEST(Bandwidth, ManyIdenticalRequestsScaleLinearly) {
   }
   const auto f = tr::bandwidth_signal(t);
   EXPECT_NEAR(f.value_at(1.0), 32.0 * 500'000.0, 1e-6);
+}
+
+// ---------------------------------------------------------------------------
+// Sweep coalescing: bit-identical to sweeping every event separately
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Oracle: the sweep without coalescing. Every event is appended, sorted
+/// by bandwidth_event_less and added to the running level one at a time.
+ftio::signal::StepFunction event_by_event_sweep(
+    const tr::Trace& t, const tr::BandwidthOptions& options = {},
+    std::optional<int> only_rank = std::nullopt) {
+  std::vector<tr::BandwidthEvent> events;
+  tr::append_bandwidth_events(t.requests, options, only_rank, events);
+  if (events.empty()) return {};
+  std::sort(events.begin(), events.end(), tr::bandwidth_event_less);
+  std::vector<double> times;
+  std::vector<double> values;
+  double level = 0.0;
+  for (std::size_t i = 0; i < events.size();) {
+    const double at = events[i].time;
+    for (; i < events.size() && events[i].time == at; ++i) {
+      level += events[i].delta;
+    }
+    times.push_back(at);
+    if (i < events.size()) values.push_back(std::max(level, 0.0));
+  }
+  return {std::move(times), std::move(values)};
+}
+
+void expect_bit_identical(const ftio::signal::StepFunction& got,
+                          const ftio::signal::StepFunction& want) {
+  ASSERT_EQ(got.times().size(), want.times().size());
+  ASSERT_EQ(got.values().size(), want.values().size());
+  for (std::size_t i = 0; i < got.times().size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.times()[i]),
+              std::bit_cast<std::uint64_t>(want.times()[i]))
+        << "boundary " << i;
+  }
+  for (std::size_t i = 0; i < got.values().size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.values()[i]),
+              std::bit_cast<std::uint64_t>(want.values()[i]))
+        << "segment " << i;
+  }
+}
+
+/// Collective phases, phase-major: the ranks of one phase share start,
+/// end and bytes, so consecutive requests repeat the same events. Rank
+/// counts and byte sizes are odd so that `count` repeated adds round
+/// differently from one multiplied add. Every fifth rank straggles, and
+/// reads alternate with writes, so one time carries several deltas.
+tr::Trace collective_trace(int ranks, int phases) {
+  tr::Trace t;
+  t.app = "collective";
+  t.rank_count = ranks;
+  for (int p = 0; p < phases; ++p) {
+    const double start = 0.7 + 13.1 * p;
+    const auto kind = p % 2 == 0 ? tr::IoKind::kWrite : tr::IoKind::kRead;
+    for (int r = 0; r < ranks; ++r) {
+      const double end = start + (r % 5 == 4 ? 2.9 : 2.3);
+      t.requests.push_back({r, start, end, 7'777'777, kind});
+    }
+  }
+  return t;
+}
+
+}  // namespace
+
+TEST(SweepCoalescing, CollectiveRequestsMatchEventByEventSweep) {
+  const auto t = collective_trace(37, 9);
+  const auto f = tr::bandwidth_signal(t);
+  EXPECT_EQ(f.times().size(), 9u * 3u);  // start, bulk end, straggler end
+  expect_bit_identical(f, event_by_event_sweep(t));
+}
+
+TEST(SweepCoalescing, ShuffledRequestsMatchEventByEventSweep) {
+  // Duplicates no longer sit next to each other: fewer events fold, and
+  // the runs of one (time, delta) meet only in the sort.
+  auto t = collective_trace(37, 9);
+  std::mt19937_64 engine(7);
+  std::shuffle(t.requests.begin(), t.requests.end(), engine);
+  expect_bit_identical(tr::bandwidth_signal(t), event_by_event_sweep(t));
+}
+
+TEST(SweepCoalescing, BackToBackPhasesShareBoundaryTimes) {
+  // Phase k ends exactly where phase k + 1 starts, so a -bw run and a +bw
+  // run sit at one time, and the -bw run must be applied first.
+  tr::Trace t;
+  t.rank_count = 23;
+  for (int p = 0; p < 12; ++p) {
+    for (int r = 0; r < 23; ++r) {
+      t.requests.push_back({r, 0.1 * p, 0.1 * (p + 1),
+                            static_cast<std::uint64_t>(3'000'001 + 977 * p),
+                            tr::IoKind::kWrite});
+    }
+  }
+  const auto f = tr::bandwidth_signal(t);
+  EXPECT_EQ(f.times().size(), 13u);
+  expect_bit_identical(f, event_by_event_sweep(t));
+}
+
+TEST(SweepCoalescing, WindowClipMakesStartsCoincide) {
+  // Requests that began before window_start all start at the clip; equal
+  // bandwidths then fold although their raw starts differ.
+  tr::Trace t;
+  t.rank_count = 31;
+  for (int r = 0; r < 31; ++r) {
+    const double start = 0.5 + 0.25 * (r % 4);
+    t.requests.push_back({r, start, start + 20.0, 41'000'003,
+                          tr::IoKind::kWrite});
+  }
+  for (int r = 0; r < 31; ++r) {
+    t.requests.push_back({r, 22.0, 25.5, 9'999'991, tr::IoKind::kWrite});
+  }
+  tr::BandwidthOptions options;
+  options.window_start = 5.0;
+  options.window_end = 24.0;
+  const auto f = tr::bandwidth_signal(t, options);
+  EXPECT_EQ(f.start_time(), 5.0);
+  EXPECT_EQ(f.end_time(), 24.0);
+  expect_bit_identical(f, event_by_event_sweep(t, options));
+}
+
+TEST(SweepCoalescing, KindFilterMatchesEventByEventSweep) {
+  // The filter drops the interleaved reads, so the writes of a phase
+  // become adjacent and fold across the skipped requests.
+  const auto t = collective_trace(29, 8);
+  for (const auto kind : {tr::IoKind::kWrite, tr::IoKind::kRead}) {
+    tr::BandwidthOptions options;
+    options.kind = kind;
+    expect_bit_identical(tr::bandwidth_signal(t, options),
+                         event_by_event_sweep(t, options));
+  }
+}
+
+TEST(SweepCoalescing, RankSignalMatchesEventByEventSweep) {
+  // Rank 3 issues every request five times in a row, so its own signal
+  // carries folded runs.
+  tr::Trace t;
+  for (const auto& r : collective_trace(16, 10).requests) {
+    const int repeats = r.rank == 3 ? 5 : 1;
+    for (int i = 0; i < repeats; ++i) t.requests.push_back(r);
+  }
+  for (int rank : {0, 3, 4}) {
+    expect_bit_identical(tr::rank_bandwidth_signal(t, rank),
+                         event_by_event_sweep(t, {}, rank));
+  }
 }
 
 // ---------------------------------------------------------------------------
