@@ -305,6 +305,28 @@ void BM_Spectrum(benchmark::State& state) {
 }
 BENCHMARK(BM_Spectrum)->Arg(7817)->Arg(1 << 16);
 
+void BM_SpectrumFreshSize(benchmark::State& state) {
+  // The online-flush shape: windows of ever-changing non-power-of-two
+  // length, so nearly every spectrum builds its size's tables. A rotation
+  // of 64 distinct lengths in [603, 1170] (odd and even alike) runs
+  // against a plan cache smaller than the rotation, which evicts each
+  // length before it comes round again; one iteration is one spectrum.
+  constexpr std::size_t kLengths = 64;
+  std::vector<std::vector<double>> signals;
+  for (std::size_t i = 0; i < kLengths; ++i) signals.push_back(tone(603 + 9 * i));
+  auto& cache = ftio::signal::plan_cache();
+  const std::size_t saved = cache.capacity();
+  cache.set_capacity(kLengths / 4);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        ftio::signal::compute_spectrum(signals[next], 10.0));
+    next = (next + 1) % kLengths;
+  }
+  cache.set_capacity(saved);
+}
+BENCHMARK(BM_SpectrumFreshSize);
+
 void BM_Autocorrelation(benchmark::State& state) {
   const auto x = tone(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {

@@ -112,7 +112,8 @@ int ftio_fuzz_service(const std::uint8_t* data, std::size_t size) {
   {
     ftio::service::IngestDaemon daemon(options);
     for (std::size_t op = 0; op < 64 && !reader.done(); ++op) {
-      const std::string tenant = "t" + std::to_string(reader.u8() % 6);
+      std::string tenant = "t";
+      tenant += std::to_string(reader.u8() % 6);
       switch (reader.u8() % 5) {
         case 0:
         case 1:

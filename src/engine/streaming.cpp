@@ -360,7 +360,8 @@ void StreamingSession::maybe_compact(double now) {
   // next predict() always finds its data intact.
   FTIO_ASSERT(horizon <= reach);
 
-  const double start_before = bandwidth_.curve().start_time();
+  [[maybe_unused]] const double start_before =
+      bandwidth_.curve().start_time();
   const std::size_t segments_before = bandwidth_.curve().segment_count();
   const std::size_t evicted = bandwidth_.compact(horizon);
   if (evicted > 0) {

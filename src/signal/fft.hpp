@@ -9,23 +9,24 @@ namespace ftio::signal {
 using Complex = std::complex<double>;
 
 /// Discrete Fourier transform X_k = sum_n x_n * exp(-2*pi*i*k*n/N), the
-/// definition in Sec. II-B1 of the paper. Dispatches to the split-radix
-/// planar FFT core when N is a power of two and to Bluestein's chirp-z
-/// algorithm otherwise, so every N costs O(N log N). Backed by the
+/// definition in Sec. II-B1 of the paper. Runs the split-radix planar FFT
+/// core when N is a power of two and Bluestein's chirp-z algorithm on
+/// that core otherwise, so every N costs O(N log N). Backed by the
 /// process-wide plan cache (signal/plan.hpp): twiddle factors,
-/// bit-reversal permutations, and Bluestein chirp tables are computed
-/// once per size and reused across calls and threads. This vector form
-/// is the one interleaved convenience; the library's own paths (and any
-/// caller that holds split re[]/im[] lanes or a real signal) use the
-/// planar entry points in signal/plan.hpp — fft_planar_into,
-/// rfft_half_planar_into and friends — and skip the interleave/
-/// deinterleave at the plan boundary entirely.
+/// bit-reversal permutations, and chirp-z tables are computed once per
+/// size and reused across calls and threads. This vector form is the one
+/// interleaved convenience: it deinterleaves into the planar entry
+/// points, which the library's own paths (and any caller that holds split
+/// re[]/im[] lanes or a real signal) call directly — fft_planar_into,
+/// rfft_half_planar_into and friends.
 std::vector<Complex> fft(std::span<const Complex> input);
 
 /// Inverse transform: x_n = (1/N) sum_k X_k * exp(+2*pi*i*k*n/N).
 std::vector<Complex> ifft(std::span<const Complex> input);
 
-/// Reference O(N^2) DFT used for validating the FFT in tests.
+/// Reference O(N^2) DFT used for validating the FFT in tests. The phase
+/// of every term is reduced mod N exactly, so the reference stays
+/// accurate at any size.
 std::vector<Complex> dft_direct(std::span<const Complex> input);
 
 /// True when n is a power of two (n >= 1).

@@ -75,7 +75,12 @@ std::vector<Peak> find_peaks(std::span<const double> values,
 
   if (options.min_distance && *options.min_distance > 1) {
     // SciPy semantics: repeatedly keep the highest remaining peak and drop
-    // all unkept peaks closer than `distance` samples.
+    // all unkept peaks closer than `distance` samples. The peaks are sorted
+    // by index, so those are the index-neighbours scanned outwards until
+    // the gap reaches `distance`. None of them is higher than the kept
+    // peak: a higher one (or an equal one earlier in the stable order) was
+    // visited first and would have dropped it.
+    const std::size_t distance = *options.min_distance;
     std::vector<std::size_t> order(peaks.size());
     for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
     std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
@@ -84,14 +89,13 @@ std::vector<Peak> find_peaks(std::span<const double> values,
     std::vector<bool> keep(peaks.size(), true);
     for (std::size_t rank : order) {
       if (!keep[rank]) continue;
-      for (std::size_t j = 0; j < peaks.size(); ++j) {
-        if (j == rank || !keep[j]) continue;
-        const auto a = peaks[rank].index;
-        const auto b = peaks[j].index;
-        const std::size_t gap = a > b ? a - b : b - a;
-        if (gap < *options.min_distance && peaks[j].height <= peaks[rank].height) {
-          keep[j] = false;
-        }
+      const std::size_t at = peaks[rank].index;
+      for (std::size_t j = rank; j-- > 0 && at - peaks[j].index < distance;) {
+        keep[j] = false;
+      }
+      for (std::size_t j = rank + 1;
+           j < peaks.size() && peaks[j].index - at < distance; ++j) {
+        keep[j] = false;
       }
     }
     std::vector<Peak> filtered;

@@ -11,15 +11,15 @@ namespace ftio::signal {
 /// (it calls find_peaks with a threshold of 0.15 on the ACF, Sec. II-C).
 struct PeakOptions {
   /// Minimum absolute height of a peak (SciPy `height`).
-  std::optional<double> min_height;
+  std::optional<double> min_height{};
   /// Minimum vertical distance to the neighbouring samples
   /// (SciPy `threshold`).
-  std::optional<double> min_threshold;
+  std::optional<double> min_threshold{};
   /// Minimum number of samples between neighbouring peaks
   /// (SciPy `distance`); smaller peaks are removed first.
-  std::optional<std::size_t> min_distance;
+  std::optional<std::size_t> min_distance{};
   /// Minimum prominence (SciPy `prominence`).
-  std::optional<double> min_prominence;
+  std::optional<double> min_prominence{};
 };
 
 /// A detected local maximum.

@@ -79,19 +79,17 @@ void for_each_split_node(std::size_t n, std::size_t len, Fn&& fn) {
 }
 
 /// Per-thread scratch. Each member is dedicated to one call site so that
-/// nested transforms (forward_real_half_planar -> half plan -> Bluestein
+/// nested transforms (forward_real_half_planar -> half plan -> chirp-z
 /// -> power-of-two core) never step on each other's buffer:
-///   split core — re/im: the planar real/imag lanes every interleaved
-///                power-of-two transform (and the packed real path) runs
-///                on; planar entry points run in caller buffers instead
-///   re2/im2    — secondary planar scratch: the linearised fold of the
-///                blocked inverse-real path, and the copy that makes the
-///                planar entry points alias-safe
-///   bluestein  — conv: the m-point convolution buffer
-///   inverse    — conj: conjugated input for the non-pow2 inverse
-///   real path  — packed/half: the N/2 packed signal and its spectrum
-///                (also the complexified input for the odd-N fallback,
-///                and the interleaved edge of the non-pow2 planar path)
+///   re/im   — the bit-reversed lanes the split core runs on: the packed
+///             real path's N/2 signal, and the chirp-z convolution
+///   re2/im2 — secondary planar scratch: the linear-order side of the
+///             chirp-z convolution, the linearised fold of the blocked
+///             inverse-real path, and the copy that makes the in-place
+///             power-of-two entry points alias-safe
+///   hre/him — the packed N/2 signal (and its spectrum, in place) of an
+///             even N whose half is not a power of two, and the rebuilt
+///             full spectrum of the odd-N real inverse
 /// Buffers only grow, so steady-state transforms do no allocation at all.
 struct Workspace {
   std::vector<double> re;
@@ -100,10 +98,8 @@ struct Workspace {
   std::vector<double> im2;
   std::vector<double> bre;  ///< transposed batch-tile lanes (batch entry
   std::vector<double> bim;  ///  points only; never nested)
-  std::vector<Complex> conv;
-  std::vector<Complex> conj;
-  std::vector<Complex> packed;
-  std::vector<Complex> half;
+  std::vector<double> hre;
+  std::vector<double> him;
 };
 
 Workspace& workspace() {
@@ -313,8 +309,6 @@ FftPlan::FftPlan(std::size_t n) : n_(n), pow2_(is_power_of_two(n)) {
       root.w3im = std::move(rw3im);
       stages_.push_back(std::move(root));
     }
-  } else if (!pow2_) {
-    m_ = next_power_of_two(2 * n_ - 1);
   }
 }
 
@@ -329,7 +323,11 @@ namespace {
 ///   X_{k+L/4} = U_{k+L/4} -+ i t2     X_{k+3L/4} = U_{k+L/4} +- i t2
 /// (upper signs forward, lower inverse; inverse also conjugates the
 /// twiddles). Four loads and four stores per k across four disjoint
-/// stride-1 lanes — the shape auto-vectorisers handle.
+/// stride-1 lanes. Left to its cost model, GCC runs the 12-stream loop
+/// scalar; `#pragma omp simd` asserts what the __restrict lanes already
+/// promise (no loop-carried dependency) and makes it packed code, which
+/// performs the same IEEE operations per element, so the bits do not
+/// change.
 template <bool Inv>
 void split_combine(double* re, double* im, std::size_t quarter,
                    const double* w1re, const double* w1im,
@@ -346,6 +344,7 @@ void split_combine(double* re, double* im, std::size_t quarter,
   const double* __restrict w1i = w1im;
   const double* __restrict w3r = w3re;
   const double* __restrict w3i = w3im;
+#pragma omp simd
   for (std::size_t k = 0; k < quarter; ++k) {
     const double a1r = w1r[k];
     const double a1i = Inv ? -w1i[k] : w1i[k];
@@ -402,9 +401,10 @@ constexpr std::size_t kBatchGroup = 2;
 // The batch kernels are explicitly SIMD: every loop below is free of
 // loop-carried dependencies (each iteration touches only its own index
 // across disjoint lanes), which `#pragma omp simd` asserts so the
-// vectoriser stops versioning for aliasing and emits packed code — the
-// single-signal kernels' 12-stream butterflies defeat GCC's cost model
-// and run scalar, which is exactly the gap the batch layout closes. On
+// vectoriser stops versioning for aliasing and emits packed code; what
+// the batch layout adds over the single-signal split_combine is packed
+// execution of the short L=8/16 combines, whose 2-4 iteration loops are
+// too short to fill a vector within one signal. On
 // x86-64 each kernel additionally carries a runtime-dispatched
 // x86-64-v3 clone (FFTW-style), so the portable SSE2 binary runs the
 // batch axis 256 bits wide on AVX2 hosts. plan.cpp is compiled with
@@ -1144,128 +1144,158 @@ void FftPlan::irfft_half_planar_batch_into(std::size_t batch,
   }
 }
 
-void FftPlan::pow2_transform(std::span<const Complex> in,
-                             std::span<Complex> out, bool invert) const {
-  const std::size_t n = n_;
-  if (n == 1) {
-    out[0] = in[0];
-    return;
-  }
-  // Deinterleave into planar lanes, applying the bit-reversal permutation
-  // during the gather (the input span is fully consumed before any write
-  // to out, so in and out may alias). std::complex guarantees the
-  // (re, im) pair layout the pairs gather reads.
-  auto& ws = workspace();
-  ws.re.resize(n);
-  ws.im.resize(n);
-  double* re = ws.re.data();
-  double* im = ws.im.data();
-  detail::bitrev_permute_pairs(bitrev_.data(), n,
-                               reinterpret_cast<const double*>(in.data()),
-                               re, im);
-  split_passes(re, im, invert);
-  for (std::size_t i = 0; i < n; ++i) out[i] = Complex(re[i], im[i]);
-}
-
-void FftPlan::pow2_inplace(std::span<Complex> a, bool invert) const {
-  pow2_transform(a, a, invert);
-}
-
-void FftPlan::ensure_bluestein_tables() const {
-  std::call_once(bluestein_once_, [this] {
-    // Bluestein: chirp, and the FFT of the wrapped conjugate chirp — the
-    // expensive part of the convolution, paid once per size on the first
-    // complex transform.
-    chirp_.resize(n_);
-    for (std::size_t k = 0; k < n_; ++k) {
-      // k^2 mod 2n avoids catastrophic phase error for large k.
-      const std::size_t k2 = (k * k) % (2 * n_);
-      const double angle = -std::numbers::pi * static_cast<double>(k2) /
-                           static_cast<double>(n_);
-      chirp_[k] = Complex(std::cos(angle), std::sin(angle));
-    }
-    sub_ = get_plan(m_);
-    bhat_.assign(m_, Complex(0.0, 0.0));
-    bhat_[0] = std::conj(chirp_[0]);
-    for (std::size_t k = 1; k < n_; ++k) {
-      bhat_[k] = bhat_[m_ - k] = std::conj(chirp_[k]);
-    }
-    sub_->pow2_inplace(bhat_, /*invert=*/false);
-  });
-}
-
 void FftPlan::ensure_real_tables() const {
   std::call_once(real_once_, [this] {
     half_ = get_plan(n_ / 2);
     // The packed real path always runs the half plan's complex transform,
     // so finish its lazy state here rather than on first use.
     half_->prepare(/*for_real_input=*/false);
-    rtw_re_.resize(n_ / 2 + 1);
-    rtw_im_.resize(n_ / 2 + 1);
-    for (std::size_t k = 0; k <= n_ / 2; ++k) {
+    // W^{h-k} = -conj(W^k) for h = N/2, so only k <= h/2 pays a cos/sin
+    // evaluation and the rest mirror it. Power-of-two plans evaluate every
+    // k: their few sizes stay cached, so the mirror would save nothing,
+    // and their tables keep the bits every autocorrelation runs on.
+    const std::size_t h = n_ / 2;
+    const std::size_t direct = pow2_ ? h : h / 2;
+    rtw_re_.resize(h + 1);
+    rtw_im_.resize(h + 1);
+    for (std::size_t k = 0; k <= direct; ++k) {
       const Complex w = unit_root(k, n_);
       rtw_re_[k] = w.real();
       rtw_im_[k] = w.imag();
     }
+    for (std::size_t k = direct + 1; k <= h; ++k) {
+      rtw_re_[k] = -rtw_re_[h - k];
+      rtw_im_[k] = rtw_im_[h - k];
+    }
   });
 }
 
+const FftPlan::ChirpZ& FftPlan::chirp_z_tables(bool half_output) const {
+  ChirpZ& t = half_output ? half_cz_ : full_cz_;
+  std::call_once(half_output ? half_once_ : full_once_, [&] {
+    const std::size_t n = n_;
+    t.bins = half_output ? n / 2 + 1 : n;
+    const std::size_t m = next_power_of_two(n + t.bins - 1);
+    t.sub = get_plan(m);
+
+    // Chirp c_k = exp(-i*pi*k^2/N). The exact phase index k^2 mod 2N is
+    // accumulated through (k+1)^2 = k^2 + 2k + 1 without a division, and
+    // only k <= N/2 pays a cos/sin: since (N-k)^2 = k^2 + N (N - 2k),
+    // c_{N-k} = (-1)^N c_k.
+    t.cre.resize(n);
+    t.cim.resize(n);
+    std::size_t k2 = 0;
+    for (std::size_t k = 0; 2 * k <= n; ++k) {
+      const double angle = -std::numbers::pi * static_cast<double>(k2) /
+                           static_cast<double>(n);
+      t.cre[k] = std::cos(angle);
+      t.cim[k] = std::sin(angle);
+      k2 += 2 * k + 1;
+      if (k2 >= 2 * n) k2 -= 2 * n;
+    }
+    const double mirror = n % 2 == 0 ? 1.0 : -1.0;
+    for (std::size_t k = n / 2 + 1; k < n; ++k) {
+      t.cre[k] = mirror * t.cre[n - k];
+      t.cim[k] = mirror * t.cim[n - k];
+    }
+
+    // Kernel spectrum: transform the wrapped conjugate chirp on the
+    // power-of-two core, then conjugate and pre-scale by 1/M so the
+    // execution's pointwise product feeds a plain forward pass.
+    auto& ws = workspace();
+    ws.re.resize(m);
+    ws.im.resize(m);
+    t.kre.assign(m, 0.0);
+    t.kim.assign(m, 0.0);
+    for (std::size_t j = 0; j < t.bins; ++j) {
+      t.kre[j] = t.cre[j];
+      t.kim[j] = -t.cim[j];
+    }
+    for (std::size_t j = 1; j < n; ++j) {
+      t.kre[m - j] = t.cre[j];
+      t.kim[m - j] = -t.cim[j];
+    }
+    detail::bitrev_permute_planar(t.sub->bitrev_.data(), m, t.kre.data(),
+                                  t.kim.data(), ws.re.data(), ws.im.data());
+    t.sub->split_passes(ws.re.data(), ws.im.data(), /*invert=*/false);
+    const double inv_m = 1.0 / static_cast<double>(m);
+    for (std::size_t i = 0; i < m; ++i) {
+      t.kre[i] = ws.re[i] * inv_m;
+      t.kim[i] = -ws.im[i] * inv_m;
+    }
+  });
+  return t;
+}
+
 void FftPlan::prepare(bool for_real_input) const {
-  if (for_real_input && n_ >= 2 && n_ % 2 == 0) {
+  if (n_ < 2) return;
+  if (for_real_input && n_ % 2 == 0) {
     ensure_real_tables();
     return;
   }
-  if (!pow2_ && n_ > 1) ensure_bluestein_tables();
+  if (!pow2_) (void)chirp_z_tables(/*half_output=*/for_real_input);
 }
 
-void FftPlan::bluestein_forward(std::span<const Complex> in,
-                                std::span<Complex> out) const {
-  ensure_bluestein_tables();
-  auto& conv = workspace().conv;
-  conv.assign(m_, Complex(0.0, 0.0));
-  for (std::size_t k = 0; k < n_; ++k) conv[k] = in[k] * chirp_[k];
+void FftPlan::chirp_z(const ChirpZ& t, const double* in_re,
+                      const double* in_im, bool inverse, double* out_re,
+                      double* out_im) const {
+  const std::size_t n = n_;
+  const std::size_t m = t.sub->n_;
+  const std::uint32_t* bp = t.sub->bitrev_.data();
+  auto& ws = workspace();
+  ws.re.resize(m);
+  ws.im.resize(m);
+  ws.re2.resize(m);
+  ws.im2.resize(m);
+  double* __restrict pr = ws.re.data();
+  double* __restrict pi = ws.im.data();
+  double* __restrict lr = ws.re2.data();
+  double* __restrict li = ws.im2.data();
+  const double* __restrict cr = t.cre.data();
+  const double* __restrict ci = t.cim.data();
 
-  sub_->pow2_inplace(conv, /*invert=*/false);
-  for (std::size_t i = 0; i < m_; ++i) conv[i] *= bhat_[i];
-  sub_->pow2_inplace(conv, /*invert=*/true);
+  // a_n = x_n c_n (x conjugated for the inverse), zero-padded to M.
+  if (in_im == nullptr) {
+    for (std::size_t k = 0; k < n; ++k) {
+      lr[k] = in_re[k] * cr[k];
+      li[k] = in_re[k] * ci[k];
+    }
+  } else {
+    const double sign = inverse ? -1.0 : 1.0;
+    for (std::size_t k = 0; k < n; ++k) {
+      const double xr = in_re[k];
+      const double xi = sign * in_im[k];
+      lr[k] = xr * cr[k] - xi * ci[k];
+      li[k] = xr * ci[k] + xi * cr[k];
+    }
+  }
+  std::fill(lr + n, lr + m, 0.0);
+  std::fill(li + n, li + m, 0.0);
+  detail::bitrev_permute_planar(bp, m, lr, li, pr, pi);
+  t.sub->split_passes(pr, pi, /*invert=*/false);
 
-  const double scale = 1.0 / static_cast<double>(m_);
-  for (std::size_t k = 0; k < n_; ++k) {
-    out[k] = conv[k] * scale * chirp_[k];
+  // conj(A * B) / M = conj(A) * K with the stored kernel K, so one more
+  // forward pass yields conj(a (*) b): the inverse without an inverse.
+  const double* __restrict kr = t.kre.data();
+  const double* __restrict ki = t.kim.data();
+  for (std::size_t i = 0; i < m; ++i) {
+    const double ar = pr[i];
+    const double ai = pi[i];
+    pr[i] = ar * kr[i] + ai * ki[i];
+    pi[i] = ar * ki[i] - ai * kr[i];
   }
-}
+  detail::bitrev_permute_planar(bp, m, pr, pi, lr, li);
+  t.sub->split_passes(lr, li, /*invert=*/false);
 
-void FftPlan::forward(std::span<const Complex> in,
-                      std::span<Complex> out) const {
-  ftio::util::expect(in.size() == n_ && out.size() == n_,
-                     "FftPlan::forward: size mismatch");
-  if (pow2_) {
-    pow2_transform(in, out, /*invert=*/false);
-    return;
+  // X_k = c_k * conj(R_k); the inverse conjugates and scales on the way out.
+  const double scale = inverse ? 1.0 / static_cast<double>(n) : 1.0;
+  const double scale_im = inverse ? -scale : scale;
+  for (std::size_t k = 0; k < t.bins; ++k) {
+    const double rr = lr[k];
+    const double ri = li[k];
+    out_re[k] = (cr[k] * rr + ci[k] * ri) * scale;
+    out_im[k] = (ci[k] * rr - cr[k] * ri) * scale_im;
   }
-  bluestein_forward(in, out);
-}
-
-void FftPlan::inverse(std::span<const Complex> in,
-                      std::span<Complex> out) const {
-  ftio::util::expect(in.size() == n_ && out.size() == n_,
-                     "FftPlan::inverse: size mismatch");
-  const double scale = 1.0 / static_cast<double>(n_);
-  if (n_ == 1) {
-    out[0] = in[0];
-    return;
-  }
-  if (pow2_) {
-    pow2_transform(in, out, /*invert=*/true);
-    for (auto& v : out) v *= scale;
-    return;
-  }
-  // Non power-of-two inverse via conjugation: ifft(x) = conj(fft(conj(x)))/N.
-  auto& cj = workspace().conj;
-  cj.resize(n_);
-  for (std::size_t k = 0; k < n_; ++k) cj[k] = std::conj(in[k]);
-  bluestein_forward(cj, out);
-  for (auto& v : out) v = std::conj(v) * scale;
 }
 
 void FftPlan::forward_planar(std::span<const double> in_re,
@@ -1301,17 +1331,8 @@ void FftPlan::forward_planar(std::span<const double> in_re,
     split_passes(out_re.data(), out_im.data(), /*invert=*/false);
     return;
   }
-  // Non power-of-two: Bluestein runs on the interleaved scratch edge.
-  ws.packed.resize(n_);
-  for (std::size_t i = 0; i < n_; ++i) {
-    ws.packed[i] = Complex(in_re[i], in_im[i]);
-  }
-  ws.half.resize(n_);
-  bluestein_forward(ws.packed, ws.half);
-  for (std::size_t i = 0; i < n_; ++i) {
-    out_re[i] = ws.half[i].real();
-    out_im[i] = ws.half[i].imag();
-  }
+  chirp_z(chirp_z_tables(/*half_output=*/false), in_re.data(), in_im.data(),
+          /*inverse=*/false, out_re.data(), out_im.data());
 }
 
 void FftPlan::inverse_planar(std::span<const double> in_re,
@@ -1349,16 +1370,8 @@ void FftPlan::inverse_planar(std::span<const double> in_re,
     }
     return;
   }
-  ws.packed.resize(n_);
-  for (std::size_t i = 0; i < n_; ++i) {
-    ws.packed[i] = Complex(in_re[i], in_im[i]);
-  }
-  ws.half.resize(n_);
-  inverse(ws.packed, ws.half);  // conjugation trick + 1/N inside
-  for (std::size_t i = 0; i < n_; ++i) {
-    out_re[i] = ws.half[i].real();
-    out_im[i] = ws.half[i].imag();
-  }
+  chirp_z(chirp_z_tables(/*half_output=*/false), in_re.data(), in_im.data(),
+          /*inverse=*/true, out_re.data(), out_im.data());
 }
 
 void FftPlan::forward_real_half_planar(std::span<const double> in,
@@ -1372,17 +1385,9 @@ void FftPlan::forward_real_half_planar(std::span<const double> in,
     out_im[0] = 0.0;
     return;
   }
-  auto& ws = workspace();
   if (n_ % 2 != 0) {
-    // Odd N: full complex transform into scratch, keep the half.
-    ws.packed.resize(n_);
-    for (std::size_t i = 0; i < n_; ++i) ws.packed[i] = Complex(in[i], 0.0);
-    ws.half.resize(n_);
-    forward(ws.packed, ws.half);
-    for (std::size_t k = 0; k <= n_ / 2; ++k) {
-      out_re[k] = ws.half[k].real();
-      out_im[k] = ws.half[k].imag();
-    }
+    chirp_z(chirp_z_tables(/*half_output=*/true), in.data(), nullptr,
+            /*inverse=*/false, out_re.data(), out_im.data());
     return;
   }
 
@@ -1392,6 +1397,7 @@ void FftPlan::forward_real_half_planar(std::span<const double> in,
   // read bin k of the packed transform from whichever buffer the branch
   // below produced it in.
   ensure_real_tables();
+  auto& ws = workspace();
   const std::size_t h = n_ / 2;
   const auto unpack = [&](auto&& zre, auto&& zim) {
     const double* __restrict twr = rtw_re_.data();
@@ -1437,16 +1443,20 @@ void FftPlan::forward_real_half_planar(std::span<const double> in,
     return;
   }
 
-  // Even N with a non power-of-two half: the half transform runs through
-  // Bluestein on an interleaved buffer.
-  ws.packed.resize(h);
-  ws.half.resize(h);
+  // Even N with a non power-of-two half: the packed half-size signal
+  // runs through the half plan's chirp-z transform in place.
+  ws.hre.resize(h);
+  ws.him.resize(h);
+  double* hr = ws.hre.data();
+  double* hi = ws.him.data();
   for (std::size_t j = 0; j < h; ++j) {
-    ws.packed[j] = Complex(in[2 * j], in[2 * j + 1]);
+    hr[j] = in[2 * j];
+    hi[j] = in[2 * j + 1];
   }
-  half_->forward(ws.packed, ws.half);
-  unpack([&](std::size_t k) { return ws.half[k].real(); },
-         [&](std::size_t k) { return ws.half[k].imag(); });
+  half_->chirp_z(half_->chirp_z_tables(/*half_output=*/false), hr, hi,
+                 /*inverse=*/false, hr, hi);
+  unpack([&](std::size_t k) { return hr[k]; },
+         [&](std::size_t k) { return hi[k]; });
 }
 
 void FftPlan::inverse_real_half_planar(std::span<const double> in_re,
@@ -1463,17 +1473,22 @@ void FftPlan::inverse_real_half_planar(std::span<const double> in_re,
   if (n_ % 2 != 0) {
     // Odd N: rebuild the full conjugate-symmetric spectrum and run the
     // complex inverse; the imaginary parts of the result are rounding
-    // noise and dropped.
+    // noise and land back in the scratch lane.
     const std::size_t h = n_ / 2;
-    ws.packed.resize(n_);
-    ws.packed[0] = Complex(in_re[0], 0.0);
+    ws.hre.resize(n_);
+    ws.him.resize(n_);
+    double* hr = ws.hre.data();
+    double* hi = ws.him.data();
+    hr[0] = in_re[0];
+    hi[0] = 0.0;
     for (std::size_t k = 1; k <= h; ++k) {
-      ws.packed[k] = Complex(in_re[k], in_im[k]);
-      ws.packed[n_ - k] = Complex(in_re[k], -in_im[k]);
+      hr[k] = in_re[k];
+      hi[k] = in_im[k];
+      hr[n_ - k] = in_re[k];
+      hi[n_ - k] = -in_im[k];
     }
-    ws.half.resize(n_);
-    inverse(ws.packed, ws.half);
-    for (std::size_t i = 0; i < n_; ++i) out[i] = ws.half[i].real();
+    chirp_z(chirp_z_tables(/*half_output=*/false), hr, hi, /*inverse=*/true,
+            out.data(), hi);
     return;
   }
 
@@ -1551,17 +1566,23 @@ void FftPlan::inverse_real_half_planar(std::span<const double> in_re,
     return;
   }
 
-  ws.packed.resize(h);
-  ws.packed[0] = Complex(z0.r, z0.i);
+  ws.hre.resize(h);
+  ws.him.resize(h);
+  double* hr = ws.hre.data();
+  double* hi = ws.him.data();
+  hr[0] = z0.r;
+  hi[0] = z0.i;
   for (std::size_t k = 1; k < h; ++k) {
     const Z z = z_at(k);
-    ws.packed[k] = Complex(z.r, z.i);
+    hr[k] = z.r;
+    hi[k] = z.i;
   }
-  ws.half.resize(h);
-  half_->inverse(ws.packed, ws.half);  // includes the 1/(N/2) scaling
+  // In place, including the 1/(N/2) scaling.
+  half_->chirp_z(half_->chirp_z_tables(/*half_output=*/false), hr, hi,
+                 /*inverse=*/true, hr, hi);
   for (std::size_t j = 0; j < h; ++j) {
-    out[2 * j] = ws.half[j].real();
-    out[2 * j + 1] = ws.half[j].imag();
+    out[2 * j] = hr[j];
+    out[2 * j + 1] = hi[j];
   }
 }
 

@@ -14,11 +14,12 @@ namespace ftio::signal {
 /// Precomputed transform state for one size N. A plan owns every table the
 /// transform needs — the bit-reversal permutation, the split-radix stage
 /// schedule and its per-stage twiddle pairs for the power-of-two path, the
-/// chirp and its precomputed spectrum for the Bluestein path, and (for
-/// even N) a half-size sub-plan plus the unpack twiddles that make the
-/// real-input fast path possible. Plans are immutable after construction
-/// and therefore safe to share across threads; mutable scratch lives in
-/// per-thread workspaces inside the execution functions.
+/// chirp-z (Bluestein) tables for every other N, and (for even N) a
+/// half-size sub-plan plus the unpack twiddles that make the real-input
+/// fast path possible. Plans are immutable after construction and
+/// therefore safe to share across threads; the lazily built tables are
+/// guarded by std::call_once, and mutable scratch lives in per-thread
+/// workspaces inside the execution functions.
 ///
 /// The power-of-two core is a split-radix (radix-2/4 mixed) decomposition
 /// over deinterleaved (planar) real/imag double arrays: each size-L node
@@ -34,13 +35,30 @@ namespace ftio::signal {
 /// calls, which GCC and Clang auto-vectorise (SSE2 baseline, AVX2 with
 /// -march=x86-64-v3 — see the FTIO_X86_64_V3 CMake option).
 ///
+/// Every other N runs Bluestein's chirp-z algorithm on the same planar
+/// core: X_k = c_k * sum_n (x_n c_n) conj(c_{k-n}) with the chirp
+/// c_k = exp(-i*pi*k^2/N), evaluated as a cyclic convolution of
+/// power-of-two length M — a forward pass, a pointwise product with the
+/// precomputed kernel spectrum, and a second forward pass on the
+/// conjugate in place of the inverse. Complex transforms (and the
+/// half-size transform of an even N) need all N bins, so M =
+/// next_pow2(2N-1); the odd-N real transform needs only bins 0..N/2, so
+/// its tables use M = next_pow2(N + N/2), half the full length for odd N
+/// in the lower third of each octave (2^k/2 < N <= 2^k/1.5).
+///
 /// Layout contract: a split-complex signal is a pair of equal-length
 /// double arrays re[]/im[] owned by the caller; element k of the logical
 /// complex signal is (re[k], im[k]). The planar entry points below are the
-/// plan's whole public transform surface. The interleaved std::complex
-/// transforms are private: Bluestein, odd N and even N with a
-/// non-power-of-two half still run on them internally, and the vector
-/// fft/ifft conveniences in signal/fft.hpp reach them as friends.
+/// plan's whole transform surface, and every path behind them — power of
+/// two, Bluestein, even and odd real input — runs on planar lanes; the
+/// vector fft/ifft conveniences in signal/fft.hpp deinterleave into them.
+///
+/// Accuracy contract: every entry point agrees with the O(N^2) direct DFT
+/// (dft_direct) to within 1e-12 of the largest output magnitude; the
+/// power-of-two core additionally matches the detail::radix2_scalar
+/// reference kernel. Results are deterministic — repeated calls, batch
+/// rows and thread counts reproduce the same bits — but the bits
+/// themselves are not a contract across algorithm changes.
 ///
 /// Most callers should not construct plans directly but go through
 /// `plan_cache()` (or the `*_into` free functions below, which do so
@@ -137,7 +155,8 @@ class FftPlan {
   /// upper half is never computed or stored. Even N runs as one half-size
   /// complex transform (N real -> N/2 complex + O(N) unpack), packed
   /// straight into the planar split buffers when N/2 is a power of two;
-  /// odd N falls back to the complex transform and copies the half.
+  /// odd N runs the half-output chirp-z tables, which compute only the
+  /// N/2+1 bins.
   void forward_real_half_planar(std::span<const double> in,
                                 std::span<double> out_re,
                                 std::span<double> out_im) const;
@@ -152,21 +171,14 @@ class FftPlan {
                                 std::span<double> out) const;
 
   /// Forces construction of the lazily built tables so that subsequent
-  /// transforms on worker threads find everything resident: the Bluestein
-  /// state for complex transforms, plus (with for_real_input and even N)
-  /// the half-size sub-plan and unpack twiddles. Thread-safe.
+  /// transforms on worker threads find everything resident — exactly the
+  /// tables the matching forward path runs: for complex transforms the
+  /// full-output chirp-z tables; with for_real_input, the half-size
+  /// sub-plan and unpack twiddles for even N and the half-output chirp-z
+  /// tables for odd N. Thread-safe.
   void prepare(bool for_real_input) const;
 
  private:
-  friend std::vector<Complex> fft(std::span<const Complex> input);
-  friend std::vector<Complex> ifft(std::span<const Complex> input);
-
-  /// Forward DFT: out_k = sum_n in_n exp(-2*pi*i*k*n/N).
-  /// in.size() == out.size() == size(). in and out may alias.
-  void forward(std::span<const Complex> in, std::span<Complex> out) const;
-
-  /// Inverse DFT including the 1/N normalisation.
-  void inverse(std::span<const Complex> in, std::span<Complex> out) const;
 
   /// One split-radix combine stage of length L >= 8: a size-L node merges
   /// U = FFT_{L/2}(even) with Z/Z' = FFT_{L/4}(x[4n+1]) / FFT_{L/4}
@@ -179,9 +191,19 @@ class FftPlan {
     std::vector<double> w3re, w3im; ///< exp(-2*pi*i*3k/L),  k < L/4
   };
 
-  void pow2_transform(std::span<const Complex> in, std::span<Complex> out,
-                      bool invert) const;
-  void pow2_inplace(std::span<Complex> a, bool invert) const;
+  /// Chirp-z tables for the output bins k < bins of a non-power-of-two
+  /// size: the cyclic convolution behind them needs length
+  /// M = next_pow2(N + bins - 1) >= every index distance it must keep
+  /// apart, and runs on the power-of-two plan `sub`.
+  struct ChirpZ {
+    std::size_t bins = 0;
+    std::shared_ptr<const FftPlan> sub;  ///< power-of-two plan of size M
+    std::vector<double> cre, cim;  ///< chirp exp(-i*pi*k^2/N), k < N
+    /// conj(FFT_M(b)) / M for the wrapped conjugate chirp b (b_j =
+    /// conj(c_j) at j < bins and at M - j for 0 < j < N): the kernel
+    /// spectrum, conjugated and pre-scaled for the forward-only inverse.
+    std::vector<double> kre, kim;
+  };
   /// Runs the split-radix schedule over bit-reverse-permuted planar
   /// arrays: the fused (2,4) base pass, then the length-8..N combine
   /// stages, recursing depth-first above detail::kSplitRadixLeafLen.
@@ -218,9 +240,16 @@ class FftPlan {
   void irfft_half_batch_group(std::size_t in_stride, const double* in_re,
                               const double* in_im, std::size_t out_stride,
                               double* out) const;
-  void bluestein_forward(std::span<const Complex> in,
-                         std::span<Complex> out) const;
-  void ensure_bluestein_tables() const;
+  /// The full-output (half_output = false: all N bins) or real-input
+  /// half-output (bins 0..N/2) chirp-z tables, built on first use.
+  const ChirpZ& chirp_z_tables(bool half_output) const;
+  /// Bluestein over planar lanes: writes bins k < t.bins of the DFT of
+  /// the size() input samples (in_im == nullptr: real input). With
+  /// `inverse` the input and output are conjugated and the output scaled
+  /// by 1/N, which makes it the inverse DFT. The input is consumed before
+  /// the first output write, so out may fully alias in.
+  void chirp_z(const ChirpZ& t, const double* in_re, const double* in_im,
+               bool inverse, double* out_re, double* out_im) const;
   void ensure_real_tables() const;
 
   std::size_t n_ = 0;
@@ -242,20 +271,19 @@ class FftPlan {
   mutable std::once_flag batch_once_;
   mutable std::vector<SplitStage> batch_stages_;
 
-  // Bluestein tables (non power-of-two N only). Built lazily on the
-  // first complex transform: an even non-pow2 plan that only ever serves
-  // packed real transforms never touches them, and they are the
-  // expensive part (a next_pow2(2N-1) sub-plan plus an FFT of the chirp).
-  std::size_t m_ = 0;                   ///< pow2 convolution size >= 2N-1
-  mutable std::once_flag bluestein_once_;
-  mutable std::vector<Complex> chirp_;  ///< exp(-i*pi*k^2/N), size N
-  mutable std::vector<Complex> bhat_;   ///< FFT_m of the wrapped conj chirp
-  mutable std::shared_ptr<const FftPlan> sub_;  ///< pow2 plan for m
+  // Chirp-z tables (non power-of-two N only), one variant per output
+  // range, each built lazily on the first transform that runs it: an even
+  // plan that only serves packed real transforms never builds either, and
+  // an odd plan that only serves them builds just the half-output one.
+  mutable std::once_flag full_once_;
+  mutable std::once_flag half_once_;
+  mutable ChirpZ full_cz_;
+  mutable ChirpZ half_cz_;
 
   // Real-input fast path (even N only). Built lazily on the first packed
   // real transform — eager construction would recursively drag a
   // half-plan chain (N/2, N/4, ...) into the cache for plans that only
-  // ever run complex transforms (e.g. Bluestein sub-plans).
+  // ever run complex transforms (e.g. chirp-z sub-plans).
   mutable std::once_flag real_once_;
   mutable std::shared_ptr<const FftPlan> half_;  ///< cached plan for N/2
   mutable std::vector<double> rtw_re_;  ///< Re exp(-2*pi*i*k/N), k <= N/2

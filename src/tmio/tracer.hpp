@@ -29,7 +29,7 @@ struct TracerOptions {
   Format format = Format::kJsonl;
   /// Output file; when empty the tracer accumulates in memory only (used
   /// by tests and by analysis pipelines that consume the snapshot).
-  std::filesystem::path path;
+  std::filesystem::path path{};
   std::string app_name = "app";
 };
 

@@ -63,10 +63,10 @@ struct Trace {
 /// Options for building the application-level bandwidth signal.
 struct BandwidthOptions {
   /// Only include requests of this direction (both when unset).
-  std::optional<IoKind> kind;
+  std::optional<IoKind> kind{};
   /// Restrict to requests overlapping [window_start, window_end].
-  std::optional<double> window_start;
-  std::optional<double> window_end;
+  std::optional<double> window_start{};
+  std::optional<double> window_end{};
 };
 
 /// One endpoint of the bandwidth event sweep: +bw at a request's start,

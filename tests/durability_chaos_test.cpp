@@ -84,7 +84,9 @@ void pump_all(svc::IngestDaemon& daemon) {
 void expect_identical(const core::Prediction& a, const core::Prediction& b) {
   EXPECT_EQ(a.at_time, b.at_time);
   ASSERT_EQ(a.frequency.has_value(), b.frequency.has_value());
-  if (a.frequency) EXPECT_EQ(*a.frequency, *b.frequency);
+  if (a.frequency) {
+    EXPECT_EQ(*a.frequency, *b.frequency);
+  }
   EXPECT_EQ(a.confidence, b.confidence);
   EXPECT_EQ(a.refined_confidence, b.refined_confidence);
   EXPECT_EQ(a.window_start, b.window_start);

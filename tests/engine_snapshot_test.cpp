@@ -50,7 +50,9 @@ void expect_identical(const core::Prediction& a, const core::Prediction& b,
   EXPECT_EQ(a.at_time, b.at_time) << "flush " << flush;
   ASSERT_EQ(a.frequency.has_value(), b.frequency.has_value())
       << "flush " << flush;
-  if (a.frequency) EXPECT_EQ(*a.frequency, *b.frequency) << "flush " << flush;
+  if (a.frequency) {
+    EXPECT_EQ(*a.frequency, *b.frequency) << "flush " << flush;
+  }
   EXPECT_EQ(a.confidence, b.confidence) << "flush " << flush;
   EXPECT_EQ(a.refined_confidence, b.refined_confidence) << "flush " << flush;
   EXPECT_EQ(a.window_start, b.window_start) << "flush " << flush;

@@ -267,7 +267,8 @@ TEST_F(ServiceChaosTest, AllFailpointsArmedForegroundStorm) {
       R"({"type":"io","kind":"write","rank":0,"start":0.0,"end":1.0,"bytes":8})"
       "\n";
   for (int i = 0; i < 120; ++i) {
-    const std::string tenant = "t" + std::to_string(i % 9);
+    std::string tenant = "t";
+    tenant += std::to_string(i % 9);
     if (i % 3 == 0) {
       static_cast<void>(daemon.submit_jsonl(tenant, good_line + good_line));
     } else {
@@ -311,8 +312,8 @@ TEST_F(ServiceChaosTest, AllFailpointsArmedBackgroundStorm) {
   for (int p = 0; p < 3; ++p) {
     producers.emplace_back([&daemon, p] {
       for (int i = 0; i < 40; ++i) {
-        const std::string tenant =
-            "p" + std::to_string(p) + "t" + std::to_string(i % 4);
+        std::string tenant = "p";
+        tenant += std::to_string(p) + "t" + std::to_string(i % 4);
         static_cast<void>(daemon.submit(tenant, phase(8.0 * i, 2.0)));
         static_cast<void>(daemon.last_prediction(tenant));
         static_cast<void>(daemon.stats());

@@ -133,7 +133,9 @@ TEST(ServiceTest, LadderStepsDownMonotonicallyUnderOverload) {
   svc::IngestDaemon daemon(options);
 
   for (int i = 0; i < 8; ++i) {
-    ASSERT_EQ(daemon.submit("t" + std::to_string(i), phase(0.0, 1.0)),
+    std::string tenant = "t";
+    tenant += std::to_string(i);
+    ASSERT_EQ(daemon.submit(tenant, phase(0.0, 1.0)),
               svc::Admission::kAccepted);
   }
 
@@ -163,7 +165,9 @@ TEST(ServiceTest, LadderRecoversHystereticallyWhenCalm) {
   svc::IngestDaemon daemon(options);
 
   for (int i = 0; i < 8; ++i) {
-    ASSERT_EQ(daemon.submit("t" + std::to_string(i), phase(0.0, 1.0)),
+    std::string tenant = "t";
+    tenant += std::to_string(i);
+    ASSERT_EQ(daemon.submit(tenant, phase(0.0, 1.0)),
               svc::Admission::kAccepted);
   }
   // Cycles 1-3 see backlogs 8, 7, 6: bottom of the ladder. Cycles 4-8
@@ -343,8 +347,8 @@ TEST(ServiceTest, BackgroundDaemonDrainsConcurrentProducers) {
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&daemon, p] {
       for (int i = 0; i < kFlushes; ++i) {
-        const std::string tenant =
-            "p" + std::to_string(p) + "-t" + std::to_string(i % 3);
+        std::string tenant = "p";
+        tenant += std::to_string(p) + "-t" + std::to_string(i % 3);
         static_cast<void>(daemon.submit(tenant, phase(8.0 * i, 2.0)));
       }
     });

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <span>
@@ -10,6 +11,7 @@
 #include "signal/spectrum.hpp"
 #include "signal/step_function.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace sig = ftio::signal;
 
@@ -498,6 +500,64 @@ TEST(FindPeaks, DistanceFilterKeepsFarApartPeaks) {
   ASSERT_EQ(peaks.size(), 2u);
   EXPECT_EQ(peaks[0].index, 1u);
   EXPECT_EQ(peaks[1].index, 5u);
+}
+
+TEST(FindPeaks, DistanceFilterMatchesAllPairsReference) {
+  // The distance filter scans index-neighbours only; it must keep exactly
+  // the peaks of SciPy's all-pairs formulation (copied below), on signals
+  // built from a few discrete levels so plateaus and equal-height peaks
+  // are common.
+  const auto all_pairs = [](std::vector<sig::Peak> peaks,
+                            std::size_t distance) {
+    std::vector<std::size_t> order(peaks.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return peaks[a].height > peaks[b].height;
+                     });
+    std::vector<bool> keep(peaks.size(), true);
+    for (std::size_t rank : order) {
+      if (!keep[rank]) continue;
+      for (std::size_t j = 0; j < peaks.size(); ++j) {
+        if (j == rank || !keep[j]) continue;
+        const auto a = peaks[rank].index;
+        const auto b = peaks[j].index;
+        const std::size_t gap = a > b ? a - b : b - a;
+        if (gap < distance && peaks[j].height <= peaks[rank].height) {
+          keep[j] = false;
+        }
+      }
+    }
+    std::vector<sig::Peak> kept;
+    for (std::size_t i = 0; i < peaks.size(); ++i) {
+      if (keep[i]) kept.push_back(peaks[i]);
+    }
+    return kept;
+  };
+
+  ftio::util::Rng rng(1234);
+  for (int trial = 0; trial < 400; ++trial) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(3, 400));
+    const auto levels = rng.uniform_int(2, 6);
+    const double plateau = rng.uniform(0.0, 0.6);
+    std::vector<double> v(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      v[i] = i > 0 && rng.uniform(0.0, 1.0) < plateau
+                 ? v[i - 1]
+                 : static_cast<double>(rng.uniform_int(0, levels));
+    }
+    const auto distance = static_cast<std::size_t>(rng.uniform_int(2, 50));
+
+    const auto want = all_pairs(sig::find_peaks(v), distance);
+    const auto got = sig::find_peaks(v, {.min_distance = distance});
+    ASSERT_EQ(got.size(), want.size())
+        << "trial " << trial << " n=" << n << " distance=" << distance;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].index, want[i].index) << "trial " << trial;
+      EXPECT_EQ(got[i].height, want[i].height) << "trial " << trial;
+      EXPECT_EQ(got[i].prominence, want[i].prominence) << "trial " << trial;
+    }
+  }
 }
 
 TEST(FindPeaks, ProminenceComputedAgainstHigherGround) {

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <numbers>
 #include <thread>
 #include <vector>
 
@@ -57,10 +59,32 @@ double max_abs_diff(const std::vector<Complex>& a,
   return d;
 }
 
-/// Accuracy budget: rounding grows with transform size; Bluestein pays
-/// for three internal power-of-two passes.
-double tolerance(std::size_t n) {
-  return 1e-9 * std::sqrt(static_cast<double>(n)) + 1e-10;
+double max_abs(const std::vector<Complex>& a) {
+  double m = 0.0;
+  for (const auto& v : a) m = std::max(m, std::abs(v));
+  return m;
+}
+
+/// The accuracy contract of FftPlan: every transform agrees with the
+/// direct DFT to within 1e-12 of the largest output magnitude.
+constexpr double kContract = 1e-12;
+
+/// max |got - want| relative to max |want|.
+double rel_err(const std::vector<Complex>& got,
+               const std::vector<Complex>& want) {
+  return max_abs_diff(got, want) / max_abs(want);
+}
+
+/// Real-lane form of rel_err.
+double real_rel_err(const std::vector<double>& got,
+                    const std::vector<double>& want) {
+  double err = 0.0;
+  double scale = 0.0;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    err = std::max(err, std::abs(got[i] - want[i]));
+    scale = std::max(scale, std::abs(want[i]));
+  }
+  return err / scale;
 }
 
 // Power-of-two, prime, and highly-composite sizes (the paper's 7817-sample
@@ -69,25 +93,44 @@ const std::size_t kSizes[] = {1,  2,   4,   8,  16,  64,  256, 1024,
                               3,  5,   7,   31, 97,  101, 769,
                               6,  12,  60,  120, 360, 1000, 1260};
 
-}  // namespace
-
-TEST(FftPlan, ForwardMatchesDirectDft) {
-  for (std::size_t n : kSizes) {
-    const auto x = random_signal(n, 1000 + n);
-    const auto want = sig::dft_direct(x);
-    const auto got = sig::fft(x);  // plan-cached path
-    ASSERT_EQ(got.size(), n);
-    EXPECT_LE(max_abs_diff(got, want), tolerance(n)) << "n = " << n;
+/// The sizes the accuracy contract is checked on: every N up to 512 (odd
+/// and even, every residue of the half-size and chirp-z paths), the odd N
+/// at the edges of the half-output chirp-z length M = next_pow2(N + N/2)
+/// — 683 and 2731 land exactly on 1024 and 4096, 685 and 1367 just past
+/// a power of two, 1365 just below one — larger sizes of each kind from
+/// kSizes plus 4096, and the paper's prime 7817.
+std::vector<std::size_t> contract_sizes() {
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 1; n <= 512; ++n) sizes.push_back(n);
+  for (std::size_t n : {683u, 685u, 769u, 1000u, 1024u, 1260u, 1365u, 1367u,
+                        2731u, 4096u, 7817u}) {
+    sizes.push_back(n);
   }
+  return sizes;
 }
 
+/// One DFT bin by the direct sum, phase index reduced mod N exactly: the
+/// oracle for sizes where the full O(N^2) dft_direct is too slow.
+Complex direct_bin(const std::vector<Complex>& x, std::size_t k) {
+  const std::size_t n = x.size();
+  Complex acc(0.0, 0.0);
+  std::size_t r = 0;  // k*j mod n
+  for (std::size_t j = 0; j < n; ++j) {
+    const double angle = -2.0 * std::numbers::pi * static_cast<double>(r) /
+                         static_cast<double>(n);
+    acc += x[j] * Complex(std::cos(angle), std::sin(angle));
+    r = (r + k) % n;
+  }
+  return acc;
+}
+
+}  // namespace
+
 TEST(FftPlan, PlanarMatchesDirectDft) {
-  // The planar complex entry points against the O(N^2) oracle, forward
-  // and inverse, plus the documented full-aliasing in-place form, which
-  // must reproduce the out-of-place bits.
-  std::vector<std::size_t> sizes(std::begin(kSizes), std::end(kSizes));
-  sizes.push_back(4096);
-  for (std::size_t n : sizes) {
+  // The planar complex entry points and the vector fft/ifft against the
+  // O(N^2) oracle, forward and inverse, plus the documented full-aliasing
+  // in-place form, which must reproduce the out-of-place bits.
+  for (std::size_t n : contract_sizes()) {
     const auto x = random_signal(n, 8100 + n);
     std::vector<double> in_re(n), in_im(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -95,11 +138,12 @@ TEST(FftPlan, PlanarMatchesDirectDft) {
       in_im[i] = x[i].imag();
     }
 
+    const auto want = sig::dft_direct(x);
     std::vector<double> out_re(n), out_im(n);
     sig::fft_planar_into(in_re, in_im, out_re, out_im);
-    EXPECT_LE(max_abs_diff(from_lanes(out_re, out_im), sig::dft_direct(x)),
-              tolerance(n))
+    EXPECT_LE(rel_err(from_lanes(out_re, out_im), want), kContract)
         << "forward n = " << n;
+    EXPECT_LE(rel_err(sig::fft(x), want), kContract) << "vector n = " << n;
 
     std::vector<double> io_re(in_re), io_im(in_im);
     sig::fft_planar_into(io_re, io_im, io_re, io_im);
@@ -112,17 +156,17 @@ TEST(FftPlan, PlanarMatchesDirectDft) {
     auto want_inv = sig::dft_direct(cx);
     for (auto& v : want_inv) v = std::conj(v) / static_cast<double>(n);
     sig::ifft_planar_into(in_re, in_im, out_re, out_im);
-    EXPECT_LE(max_abs_diff(from_lanes(out_re, out_im), want_inv),
-              tolerance(n))
+    EXPECT_LE(rel_err(from_lanes(out_re, out_im), want_inv), kContract)
         << "inverse n = " << n;
+    EXPECT_LE(rel_err(sig::ifft(x), want_inv), kContract)
+        << "vector inverse n = " << n;
   }
 }
 
 TEST(FftPlan, RfftMatchesDirectDft) {
-  std::vector<std::size_t> sizes(std::begin(kSizes), std::end(kSizes));
-  sizes.push_back(128);
-  sizes.push_back(4096);
-  for (std::size_t n : sizes) {
+  // Every N up to 512 covers both parities, powers of two, even N with a
+  // power-of-two and a chirp-z half, and the odd half-output tables.
+  for (std::size_t n : contract_sizes()) {
     const auto x = random_real(n, 2000 + n);
     std::vector<Complex> cx(n);
     for (std::size_t i = 0; i < n; ++i) cx[i] = Complex(x[i], 0.0);
@@ -130,15 +174,40 @@ TEST(FftPlan, RfftMatchesDirectDft) {
     want.resize(n / 2 + 1);
     const auto got = half_spectrum(x);  // half-size fast path for even n
     ASSERT_EQ(got.size(), n / 2 + 1);
-    EXPECT_LE(max_abs_diff(got, want), tolerance(n)) << "n = " << n;
+    EXPECT_LE(rel_err(got, want), kContract) << "n = " << n;
   }
+}
+
+TEST(FftPlan, LargePrimeMeetsContractOnSampledBins) {
+  // 65537 is prime: its half-output chirp-z length 2^17 and full length
+  // 2^18 both reach the cache-blocked bit reversal. The direct sum runs on
+  // 64 sampled bins (both ends included); the scale is the transform's own
+  // largest bin.
+  const std::size_t n = 65537;
+  const auto xr = random_real(n, 6500);
+  std::vector<Complex> xc(n);
+  for (std::size_t i = 0; i < n; ++i) xc[i] = Complex(xr[i], 0.0);
+  const auto half = half_spectrum(xr);
+  const auto xz = random_signal(n, 6501);
+  const auto full = sig::fft(xz);
+
+  double half_err = 0.0;
+  double full_err = 0.0;
+  for (std::size_t s = 0; s < 64; ++s) {
+    const std::size_t kh = s * (n / 2) / 63;
+    half_err = std::max(half_err, std::abs(half[kh] - direct_bin(xc, kh)));
+    const std::size_t kf = s * (n - 1) / 63;
+    full_err = std::max(full_err, std::abs(full[kf] - direct_bin(xz, kf)));
+  }
+  EXPECT_LE(half_err / max_abs(half), kContract);
+  EXPECT_LE(full_err / max_abs(full), kContract);
 }
 
 TEST(FftPlan, IfftInvertsFft) {
   for (std::size_t n : kSizes) {
     const auto x = random_signal(n, 3000 + n);
     const auto roundtrip = sig::ifft(sig::fft(x));
-    EXPECT_LE(max_abs_diff(roundtrip, x), tolerance(n)) << "n = " << n;
+    EXPECT_LE(rel_err(roundtrip, x), kContract) << "n = " << n;
   }
 }
 
@@ -178,7 +247,7 @@ TEST(FftPlan, SplitRadixCoreMatchesRadix2ReferenceOnEveryPow2) {
     sig::FftPlan plan(n);
     std::vector<double> out_re(n), out_im(n);
     plan.forward_planar(in_re, in_im, out_re, out_im);
-    EXPECT_LE(max_abs_diff(from_lanes(out_re, out_im), want), tolerance(n))
+    EXPECT_LE(rel_err(from_lanes(out_re, out_im), want), kContract)
         << "forward n = " << n;
 
     // Inverse agreement (reference kernel omits the 1/N scaling).
@@ -186,8 +255,7 @@ TEST(FftPlan, SplitRadixCoreMatchesRadix2ReferenceOnEveryPow2) {
     sig::detail::radix2_scalar(want_inv, tables, /*invert=*/true);
     for (auto& v : want_inv) v /= static_cast<double>(n);
     plan.inverse_planar(in_re, in_im, out_re, out_im);
-    EXPECT_LE(max_abs_diff(from_lanes(out_re, out_im), want_inv),
-              tolerance(n))
+    EXPECT_LE(rel_err(from_lanes(out_re, out_im), want_inv), kContract)
         << "inverse n = " << n;
   }
 }
@@ -204,7 +272,7 @@ TEST(FftPlan, BlockedBitrevLargeTransformsMatchReference) {
   std::vector<Complex> want(x);
   sig::detail::radix2_scalar(want, tables, /*invert=*/false);
   const auto got = sig::fft(x);
-  EXPECT_LE(max_abs_diff(got, want), tolerance(n));
+  EXPECT_LE(rel_err(got, want), kContract);
 
   // Planar lanes across the blocked gather match the interleaved bits.
   std::vector<double> in_re(n), in_im(n), out_re(n), out_im(n);
@@ -223,11 +291,7 @@ TEST(FftPlan, BlockedBitrevLargeTransformsMatchReference) {
   std::vector<double> hre(n + 1), him(n + 1), back(2 * n);
   sig::rfft_half_planar_into(xr, hre, him);
   sig::irfft_half_planar_into(hre, him, back);
-  double err = 0.0;
-  for (std::size_t i = 0; i < 2 * n; ++i) {
-    err = std::max(err, std::abs(back[i] - xr[i]));
-  }
-  EXPECT_LE(err, tolerance(2 * n));
+  EXPECT_LE(real_rel_err(back, xr), kContract);
 }
 
 TEST(FftPlan, RfftHalfNyquistBinIsReal) {
@@ -235,8 +299,9 @@ TEST(FftPlan, RfftHalfNyquistBinIsReal) {
   for (std::size_t n : {2u, 4u, 6u, 16u, 360u}) {
     const auto x = random_real(n, 6200 + n);
     const auto half = half_spectrum(x);
-    EXPECT_LE(std::abs(half[n / 2].imag()), tolerance(n)) << "n = " << n;
-    EXPECT_LE(std::abs(half[0].imag()), tolerance(n)) << "n = " << n;
+    const double bound = kContract * max_abs(half);
+    EXPECT_LE(std::abs(half[n / 2].imag()), bound) << "n = " << n;
+    EXPECT_LE(std::abs(half[0].imag()), bound) << "n = " << n;
   }
 }
 
@@ -251,11 +316,7 @@ TEST(FftPlan, InverseRealHalfRoundTrips) {
     sig::rfft_half_planar_into(x, hre, him);
     std::vector<double> back(n);
     sig::irfft_half_planar_into(hre, him, back);
-    double err = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      err = std::max(err, std::abs(back[i] - x[i]));
-    }
-    EXPECT_LE(err, tolerance(n)) << "n = " << n;
+    EXPECT_LE(real_rel_err(back, x), kContract) << "n = " << n;
   }
 }
 
@@ -489,12 +550,11 @@ TEST(PlanCache, ThreadSafetyUnderParallelFor) {
   std::vector<double> errors(kIterations, 0.0);
   ftio::util::parallel_for(kIterations, [&](std::size_t i) {
     const auto& c = cases[i % cases.size()];
-    errors[i] = max_abs_diff(sig::fft(c.input), c.want);
+    errors[i] = rel_err(sig::fft(c.input), c.want);
   }, /*threads=*/8);
 
   for (std::size_t i = 0; i < kIterations; ++i) {
-    EXPECT_LE(errors[i], tolerance(cases[i % cases.size()].input.size()))
-        << "iteration " << i;
+    EXPECT_LE(errors[i], kContract) << "iteration " << i;
   }
 }
 
