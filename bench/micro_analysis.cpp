@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/ftio.hpp"
+#include "core/metrics.hpp"
 #include "engine/engine.hpp"
 #include "trace/model.hpp"
 #include "workloads/apps.hpp"
@@ -57,8 +58,8 @@ BENCHMARK(BM_BandwidthSweep)->Arg(256)->Arg(2048);
 
 // LAMMPS ranks dump one after another through a serialised path, so no
 // two consecutive requests share a start or an end: every event is its
-// own run and the sweep sorts all 2R events, the case coalescing cannot
-// help.
+// own run (92k distinct events at 3072 ranks), the case coalescing cannot
+// help. The trace is in start order, so the sweep sorts nothing.
 void BM_BandwidthSweepLammps(benchmark::State& state) {
   const auto trace =
       ftio::workloads::generate_lammps_trace(ftio::workloads::LammpsConfig{});
@@ -68,6 +69,27 @@ void BM_BandwidthSweepLammps(benchmark::State& state) {
   state.counters["requests"] = static_cast<double>(trace.requests.size());
 }
 BENCHMARK(BM_BandwidthSweepLammps);
+
+// Periodicity metrics on the LAMMPS/3072 curve (about 50k knots) at its
+// detected frequency: one walk per period over the knots of that period.
+void BM_ComputeMetricsLammps(benchmark::State& state) {
+  const auto trace =
+      ftio::workloads::generate_lammps_trace(ftio::workloads::LammpsConfig{});
+  const auto curve = ftio::trace::bandwidth_signal(trace);
+  ftio::core::FtioOptions opts;
+  opts.sampling_frequency = 10.0;
+  const auto detected = ftio::core::detect(trace, opts);
+  if (!detected.periodic()) {
+    state.SkipWithError("LAMMPS trace not detected as periodic");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        ftio::core::compute_metrics(curve, detected.frequency()));
+  }
+  state.counters["knots"] = static_cast<double>(curve.times().size());
+}
+BENCHMARK(BM_ComputeMetricsLammps);
 
 void BM_AutocorrelationRefinement(benchmark::State& state) {
   // The optional ACF pass cost the paper +0.26 s on LAMMPS.

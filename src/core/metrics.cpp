@@ -23,7 +23,13 @@ AboveThreshold measure_above(const ftio::signal::StepFunction& f, double a,
   AboveThreshold out;
   const auto times = f.times();
   const auto values = f.values();
-  for (std::size_t i = 0; i < values.size(); ++i) {
+  // Only the segments from the one containing `a` up to the first starting
+  // at or after `b` overlap [a, b); the others would add nothing.
+  const auto first = std::upper_bound(times.begin(), times.end(), a);
+  std::size_t i = first == times.begin()
+                      ? 0
+                      : static_cast<std::size_t>(first - times.begin()) - 1;
+  for (; i < values.size() && times[i] < b; ++i) {
     const double lo = std::max(a, times[i]);
     const double hi = std::min(b, times[i + 1]);
     if (hi <= lo) continue;
@@ -35,10 +41,10 @@ AboveThreshold measure_above(const ftio::signal::StepFunction& f, double a,
   return out;
 }
 
-}  // namespace
-
-PeriodicityMetrics compute_io_ratio(
-    const ftio::signal::StepFunction& bandwidth) {
+/// compute_io_ratio, also handing out the above-threshold measure of the
+/// whole curve that it is built from.
+PeriodicityMetrics io_ratio(const ftio::signal::StepFunction& bandwidth,
+                            AboveThreshold& s) {
   ftio::util::expect(!bandwidth.empty(), "compute_io_ratio: empty bandwidth");
   PeriodicityMetrics m;
   const double length = bandwidth.duration();
@@ -47,18 +53,27 @@ PeriodicityMetrics compute_io_ratio(
 
   // Noise threshold V(T)/L(T) — Sec. II-C b).
   m.noise_threshold = volume / length;
-  const auto s = measure_above(bandwidth, bandwidth.start_time(),
-                               bandwidth.end_time(), m.noise_threshold);
+  s = measure_above(bandwidth, bandwidth.start_time(), bandwidth.end_time(),
+                    m.noise_threshold);
   m.time_ratio_io = s.length / length;
   m.substantial_bandwidth = s.length > 0.0 ? s.volume / s.length : 0.0;
   return m;
+}
+
+}  // namespace
+
+PeriodicityMetrics compute_io_ratio(
+    const ftio::signal::StepFunction& bandwidth) {
+  AboveThreshold whole;
+  return io_ratio(bandwidth, whole);
 }
 
 PeriodicityMetrics compute_metrics(const ftio::signal::StepFunction& bandwidth,
                                    double dominant_frequency) {
   ftio::util::expect(dominant_frequency > 0.0,
                      "compute_metrics: dominant frequency must be positive");
-  PeriodicityMetrics m = compute_io_ratio(bandwidth);
+  AboveThreshold s_total;
+  PeriodicityMetrics m = io_ratio(bandwidth, s_total);
 
   const double length = bandwidth.duration();
   const double period = 1.0 / dominant_frequency;
@@ -92,8 +107,6 @@ PeriodicityMetrics compute_metrics(const ftio::signal::StepFunction& bandwidth,
   m.sigma_time = std::sqrt(acc / static_cast<double>(count));
 
   // Average data per period: V(S) / (L(T) * f_d) — Sec. II-C b).
-  const auto s_total = measure_above(bandwidth, bandwidth.start_time(),
-                                     bandwidth.end_time(), m.noise_threshold);
   m.bytes_per_period = s_total.volume / (length * dominant_frequency);
   return m;
 }

@@ -11,6 +11,9 @@ std::vector<RankResult> detect_per_rank(const ftio::trace::Trace& trace,
   ftio::util::expect(trace.rank_count >= 1,
                      "detect_per_rank: trace without ranks");
   std::vector<RankResult> results(static_cast<std::size_t>(trace.rank_count));
+  // One pass buckets the requests by rank, so each rank sweeps only its
+  // own: O(R) request visits in total instead of O(P * R).
+  const auto buckets = ftio::trace::bucket_by_rank(trace);
 
   ftio::util::parallel_for(results.size(), [&](std::size_t i) {
     auto& slot = results[i];
@@ -18,7 +21,7 @@ std::vector<RankResult> detect_per_rank(const ftio::trace::Trace& trace,
     ftio::trace::BandwidthOptions bw;
     bw.kind = options.kind;
     const auto signal =
-        ftio::trace::rank_bandwidth_signal(trace, slot.rank, bw);
+        ftio::trace::bandwidth_signal(buckets.of(slot.rank), bw);
     if (signal.empty()) return;  // rank never did I/O
     slot.has_io = true;
     slot.result = analyze_bandwidth(signal, options);

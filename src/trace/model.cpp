@@ -84,126 +84,193 @@ bool request_selected(const IoRequest& r, const BandwidthOptions& options) {
   return true;
 }
 
-/// Calls visit(start, end, bw) for every request `options` and
-/// `only_rank` select, clipped to the window, in request order. Requests
-/// that clip to nothing or carry no bandwidth are skipped.
+bool same_request(const IoRequest& a, const IoRequest& b) {
+  return a.start == b.start && a.end == b.end && a.bytes == b.bytes &&
+         a.kind == b.kind;
+}
+
+/// Calls visit(start, end, bw, count) for every group of `count`
+/// consecutive identical requests (same start, end, bytes and kind) that
+/// `options` and `only_rank` select, clipped to the window, in request
+/// order; requests of other ranks do not break a group. The ranks of a
+/// collective phase issue identical requests, so a group costs one
+/// bandwidth division however many ranks it spans. Groups that clip to
+/// nothing or carry no bandwidth are skipped.
 template <typename Visit>
 void for_each_swept_request(std::span<const IoRequest> requests,
                             const BandwidthOptions& options,
                             std::optional<int> only_rank, Visit&& visit) {
-  for (const auto& r : requests) {
-    if (only_rank && r.rank != *only_rank) continue;
-    if (!request_selected(r, options)) continue;
-    double start = r.start;
-    double end = r.end;
+  const IoRequest* head = nullptr;
+  std::size_t count = 0;
+  const auto flush = [&] {
+    if (count == 0 || !request_selected(*head, options)) return;
+    double start = head->start;
+    double end = head->end;
     if (options.window_start) start = std::max(start, *options.window_start);
     if (options.window_end) end = std::min(end, *options.window_end);
-    if (end <= start) continue;
-    const double bw = r.bandwidth();
-    if (bw <= 0.0) continue;
-    visit(start, end, bw);
+    if (end <= start) return;
+    const double bw = head->bandwidth();
+    if (bw <= 0.0) return;
+    visit(start, end, bw, count);
+  };
+  for (const auto& r : requests) {
+    if (only_rank && r.rank != *only_rank) continue;
+    if (count > 0 && same_request(r, *head)) {
+      ++count;
+      continue;
+    }
+    flush();
+    head = &r;
+    count = 1;
   }
+  flush();
 }
 
-/// `count` identical sweep events. Sweeping a run applies its delta
+/// Sweep order: time, then delta, so at one time every end (negative
+/// delta) precedes every start. The order is total on (time, delta), so
+/// the prefix sums, and with them the rounding of the curve, do not
+/// depend on request order.
+constexpr auto event_less = [](const BandwidthEvent& a,
+                               const BandwidthEvent& b) {
+  if (a.time != b.time) return a.time < b.time;
+  return a.delta < b.delta;
+};
+
+/// `count` identical sweep events. Replaying a run applies its delta
 /// `count` times: exactly the adds of its events, which sit next to each
-/// other in any (time, delta) sort because that order is total.
+/// other in the (time, delta) order.
 struct EventRun : BandwidthEvent {
   std::size_t count = 1;
 };
 
-/// Multiplicity of one sweep element; a plain event is a run of one.
-constexpr std::size_t run_count(const BandwidthEvent&) { return 1; }
-constexpr std::size_t run_count(const EventRun& run) { return run.count; }
+/// The start or the end runs of a sweep, appended in request order. An
+/// event equal in time and delta to the last run folds into it. `ordered`
+/// records whether every append kept (time, delta) order, so a stream
+/// built from a trace in start order is neither re-checked nor sorted.
+struct RunStream {
+  std::vector<EventRun> runs;
+  bool ordered = true;
 
-/// Sweeps sorted runs[from..), continuing the prefix sum from running
-/// level `level`: appends one boundary per distinct event time to `times`
-/// (with the unclamped level after its deltas to `raw_levels`, when
-/// given), and the clamped segment value for every boundary except the
-/// final one to `values`. The left-to-right accumulation order is exactly
-/// the full sweep's, so restarting from a cached level reproduces the
-/// full rebuild bit for bit. Returns the final running level.
-template <typename Run>
-double sweep_tail(std::span<const Run> runs, std::size_t from, double level,
-                  std::vector<double>& times, std::vector<double>& values,
-                  std::vector<double>* raw_levels) {
-  std::size_t ev = from;
-  while (ev < runs.size()) {
-    const double t = runs[ev].time;
-    while (ev < runs.size() && runs[ev].time == t) {
-      for (std::size_t n = run_count(runs[ev]); n > 0; --n) {
-        level += runs[ev].delta;
+  void clear() {
+    runs.clear();
+    ordered = true;
+  }
+
+  void append(double time, double delta, std::size_t count) {
+    if (!runs.empty()) {
+      EventRun& last = runs.back();
+      if (last.time == time && last.delta == delta) {
+        last.count += count;
+        return;
       }
-      ++ev;
+      ordered = ordered && event_less(last, BandwidthEvent{time, delta});
     }
-    times.push_back(t);
-    if (raw_levels != nullptr) raw_levels->push_back(level);
-    // The final boundary closes the support; it has no following segment.
-    if (ev < runs.size()) values.push_back(std::max(level, 0.0));
+    runs.push_back({{time, delta}, count});
   }
-  return level;
+
+  void sort_if_unordered() {
+    if (!ordered) std::sort(runs.begin(), runs.end(), event_less);
+  }
+};
+
+void replay(double& level, const EventRun& run) {
+  for (std::size_t n = run.count; n > 0; --n) level += run.delta;
 }
 
-constexpr std::size_t kNoRun = static_cast<std::size_t>(-1);
-
-/// Appends an event to `runs`, folding it into runs[last] when that run
-/// holds the same (time, delta); otherwise `last` moves to the new run.
-void add_event(std::vector<EventRun>& runs, std::size_t& last, double time,
-               double delta) {
-  if (last < runs.size() && runs[last].time == time &&
-      runs[last].delta == delta) {
-    ++runs[last].count;
-    return;
-  }
-  last = runs.size();
-  runs.push_back({{time, delta}, 1});
-}
-
-ftio::signal::StepFunction sweep(const Trace& trace,
+ftio::signal::StepFunction sweep(std::span<const IoRequest> requests,
                                  const BandwidthOptions& options,
                                  std::optional<int> only_rank) {
   // Event sweep: +bw at request start, -bw at request end; prefix-summing
-  // the sorted events yields the piecewise-constant aggregate bandwidth.
-  // The ranks of a collective phase issue identical requests, so a start
-  // (end) equal to the previous request's start (end) folds into its run
-  // and the sort orders U runs instead of 2R events.
-  std::vector<EventRun> runs;
-  std::size_t last_start = kNoRun;
-  std::size_t last_end = kNoRun;
-  for_each_swept_request(trace.requests, options, only_rank,
-                         [&](double start, double end, double bw) {
-                           add_event(runs, last_start, start, bw);
-                           add_event(runs, last_end, end, -bw);
-                         });
-  if (runs.empty()) return {};
-  std::sort(runs.begin(), runs.end(), bandwidth_event_less);
+  // the events in (time, delta) order yields the piecewise-constant
+  // aggregate bandwidth. Starts and ends fill two run streams in request
+  // order; a trace in start order has both already ordered, so neither is
+  // sorted and the sweep is linear. Reused per-thread scratch spares the
+  // page faults of fresh multi-MB buffers.
+  thread_local RunStream starts;
+  thread_local RunStream ends;
+  starts.clear();
+  ends.clear();
+  for_each_swept_request(
+      requests, options, only_rank,
+      [](double start, double end, double bw, std::size_t count) {
+        starts.append(start, bw, count);
+        ends.append(end, -bw, count);
+      });
+  if (ends.runs.empty()) return {};
+  starts.sort_if_unordered();
+  ends.sort_if_unordered();
+
+  // Merge the streams while replaying: at one time the end runs go first.
+  // Every request ends after it starts, so the last boundary is an end,
+  // and an infinite sentinel start spares the start-side bounds checks.
   // Distinct event times are the segment boundaries; the value of segment
   // [times[i], times[i+1]) is the running level after applying all deltas
   // at times[i].
+  const std::span<const EventRun> end_runs = ends.runs;
+  starts.runs.push_back({{std::numeric_limits<double>::infinity(), 0.0}, 0});
+  const EventRun* next_start = starts.runs.data();
   std::vector<double> times;
-  times.reserve(runs.size());
+  times.reserve(starts.runs.size() + end_runs.size());
   std::vector<double> seg_values;
-  seg_values.reserve(runs.size());
-  sweep_tail<EventRun>(runs, 0, 0.0, times, seg_values, nullptr);
+  seg_values.reserve(starts.runs.size() + end_runs.size());
+  double level = 0.0;
+  std::size_t e = 0;
+  while (e < end_runs.size()) {
+    const double t = next_start->time < end_runs[e].time ? next_start->time
+                                                         : end_runs[e].time;
+    for (; e < end_runs.size() && end_runs[e].time == t; ++e) {
+      replay(level, end_runs[e]);
+    }
+    for (; next_start->time == t; ++next_start) replay(level, *next_start);
+    times.push_back(t);
+    // The final boundary closes the support; it has no following segment.
+    if (e < end_runs.size()) seg_values.push_back(std::max(level, 0.0));
+  }
   return ftio::signal::StepFunction(std::move(times), std::move(seg_values));
+}
+
+/// Sweeps sorted events[from..), continuing the prefix sum from running
+/// level `level`: appends one boundary per distinct event time to `times`
+/// and the unclamped level after its deltas to `raw_levels`, and the
+/// clamped segment value for every boundary except the final one to
+/// `values`. The left-to-right accumulation order is exactly the full
+/// sweep's, so restarting from a cached level reproduces the full rebuild
+/// bit for bit. Returns the final running level.
+double sweep_tail(std::span<const BandwidthEvent> events, std::size_t from,
+                  double level, std::vector<double>& times,
+                  std::vector<double>& values,
+                  std::vector<double>& raw_levels) {
+  std::size_t ev = from;
+  while (ev < events.size()) {
+    const double t = events[ev].time;
+    for (; ev < events.size() && events[ev].time == t; ++ev) {
+      level += events[ev].delta;
+    }
+    times.push_back(t);
+    raw_levels.push_back(level);
+    if (ev < events.size()) values.push_back(std::max(level, 0.0));
+  }
+  return level;
 }
 
 }  // namespace
 
 bool bandwidth_event_less(const BandwidthEvent& a, const BandwidthEvent& b) {
-  if (a.time != b.time) return a.time < b.time;
-  return a.delta < b.delta;
+  return event_less(a, b);
 }
 
 void append_bandwidth_events(std::span<const IoRequest> requests,
                              const BandwidthOptions& options,
                              std::optional<int> only_rank,
                              std::vector<BandwidthEvent>& events) {
-  for_each_swept_request(requests, options, only_rank,
-                         [&events](double start, double end, double bw) {
-                           events.push_back({start, bw});
-                           events.push_back({end, -bw});
-                         });
+  for_each_swept_request(
+      requests, options, only_rank,
+      [&events](double start, double end, double bw, std::size_t count) {
+        for (std::size_t n = 0; n < count; ++n) {
+          events.push_back({start, bw});
+          events.push_back({end, -bw});
+        }
+      });
 }
 
 IncrementalBandwidth::IncrementalBandwidth(BandwidthOptions options)
@@ -214,19 +281,19 @@ double IncrementalBandwidth::extend(std::span<const IoRequest> requests) {
   fresh.reserve(requests.size() * 2);
   append_bandwidth_events(requests, options_, std::nullopt, fresh);
   if (fresh.empty()) return std::numeric_limits<double>::infinity();
-  std::sort(fresh.begin(), fresh.end(), bandwidth_event_less);
+  std::sort(fresh.begin(), fresh.end(), event_less);
   const double dirty = fresh.front().time;
 
   const std::size_t old_count = events_.size();
   events_.insert(events_.end(), fresh.begin(), fresh.end());
   if (old_count > 0 &&
-      bandwidth_event_less(events_[old_count], events_[old_count - 1])) {
+      event_less(events_[old_count], events_[old_count - 1])) {
     // Only a chunk reaching back into already-swept time needs the merge;
     // the dominant in-order flush is a pure append and stays O(chunk).
     std::inplace_merge(
         events_.begin(),
         events_.begin() + static_cast<std::ptrdiff_t>(old_count),
-        events_.end(), bandwidth_event_less);
+        events_.end(), event_less);
   }
 
   // Everything strictly before the earliest new event is untouched: keep
@@ -253,8 +320,7 @@ double IncrementalBandwidth::extend(std::span<const IoRequest> requests) {
     // the clamp of the cached level, exactly what a full sweep stores.
     tail_values.push_back(std::max(level, 0.0));
   }
-  sweep_tail<BandwidthEvent>(events_, from, level, tail_times, tail_values,
-                             &raw_levels_);
+  sweep_tail(events_, from, level, tail_times, tail_values, raw_levels_);
   curve_.splice_tail(keep, tail_times, tail_values);
   return dirty;
 }
@@ -335,7 +401,7 @@ void IncrementalBandwidth::load_state(ftio::util::BinReader& in) {
   const std::optional<double> floor = in.f64_opt();
 
   for (std::size_t i = 1; i < events.size(); ++i) {
-    if (bandwidth_event_less(events[i], events[i - 1])) {
+    if (event_less(events[i], events[i - 1])) {
       throw ftio::util::ParseError("IncrementalBandwidth: events not sorted");
     }
   }
@@ -372,12 +438,46 @@ std::size_t IncrementalBandwidth::memory_bytes() const {
 
 ftio::signal::StepFunction bandwidth_signal(const Trace& trace,
                                             const BandwidthOptions& options) {
-  return sweep(trace, options, std::nullopt);
+  return sweep(trace.requests, options, std::nullopt);
+}
+
+ftio::signal::StepFunction bandwidth_signal(std::span<const IoRequest> requests,
+                                            const BandwidthOptions& options) {
+  return sweep(requests, options, std::nullopt);
 }
 
 ftio::signal::StepFunction rank_bandwidth_signal(
     const Trace& trace, int rank, const BandwidthOptions& options) {
-  return sweep(trace, options, rank);
+  return sweep(trace.requests, options, rank);
+}
+
+std::span<const IoRequest> RankBuckets::of(int rank) const {
+  const auto r = static_cast<std::size_t>(rank);
+  ftio::util::expect(rank >= 0 && r + 1 < offsets.size(),
+                     "RankBuckets::of: rank out of range");
+  return std::span<const IoRequest>(requests)
+      .subspan(offsets[r], offsets[r + 1] - offsets[r]);
+}
+
+RankBuckets bucket_by_rank(const Trace& trace) {
+  const auto ranks = static_cast<std::size_t>(std::max(trace.rank_count, 0));
+  const auto in_range = [ranks](const IoRequest& r) {
+    return r.rank >= 0 && static_cast<std::size_t>(r.rank) < ranks;
+  };
+  RankBuckets out;
+  out.offsets.assign(ranks + 1, 0);
+  for (const auto& r : trace.requests) {
+    if (in_range(r)) ++out.offsets[static_cast<std::size_t>(r.rank) + 1];
+  }
+  for (std::size_t i = 0; i < ranks; ++i) {
+    out.offsets[i + 1] += out.offsets[i];
+  }
+  out.requests.resize(out.offsets.back());
+  std::vector<std::size_t> next(out.offsets.begin(), out.offsets.end() - 1);
+  for (const auto& r : trace.requests) {
+    if (in_range(r)) out.requests[next[static_cast<std::size_t>(r.rank)]++] = r;
+  }
+  return out;
 }
 
 }  // namespace ftio::trace

@@ -160,19 +160,41 @@ class IncrementalBandwidth {
 /// (i.e., bandwidth at the application level) is evaluated ... with a
 /// linear complexity with the number of I/O requests"). Each request
 /// contributes bytes/duration uniformly over [start, end); contributions
-/// add where requests overlap. O(R + U log U), where U is the number of
-/// coalesced runs: the start (end) event of a request folds into the
-/// previous selected request's start (end) run when time and delta are
-/// equal. U is the full 2R events when no two adjacent requests share a
-/// start or an end; the ranks of a collective phase issue identical
-/// requests, so paper-scale IOR traces sort about 160 runs instead of
-/// up to 492k events. The curve is bit-identical to sweeping every event
-/// separately.
+/// add where requests overlap. The start and end events go into two run
+/// streams in request order; consecutive identical requests (the ranks of
+/// a collective phase) fold into one run per stream, as does an event
+/// equal in time and delta to the previous run of its stream. A stream is
+/// sorted only when it is out of (time, delta) order, and a merge replays
+/// both. Cost: O(R + U) for a trace in start order (Trace::sort_by_start
+/// and every paper generator), O(R + U log U) otherwise, where U <= 2R is
+/// the number of runs. The curve is bit-identical to sweeping every event
+/// separately in (time, delta) order.
 ftio::signal::StepFunction bandwidth_signal(const Trace& trace,
+                                            const BandwidthOptions& options = {});
+
+/// The same curve over a request list, e.g. one rank's bucket of
+/// bucket_by_rank.
+ftio::signal::StepFunction bandwidth_signal(std::span<const IoRequest> requests,
                                             const BandwidthOptions& options = {});
 
 /// Bandwidth curve of a single rank (Sec. VI: per-process use cases).
 ftio::signal::StepFunction rank_bandwidth_signal(const Trace& trace, int rank,
                                                  const BandwidthOptions& options = {});
+
+/// The requests of a trace grouped by rank: rank r's requests, in trace
+/// order, are requests[offsets[r], offsets[r + 1]). Requests whose rank
+/// lies outside [0, rank_count) are dropped.
+struct RankBuckets {
+  std::vector<IoRequest> requests;
+  std::vector<std::size_t> offsets;
+
+  std::span<const IoRequest> of(int rank) const;
+};
+
+/// Buckets the requests by rank in one stable pass, so that sweeping every
+/// rank visits each request once instead of once per rank.
+/// bandwidth_signal(buckets.of(r), options) equals
+/// rank_bandwidth_signal(trace, r, options) bit for bit.
+RankBuckets bucket_by_rank(const Trace& trace);
 
 }  // namespace ftio::trace

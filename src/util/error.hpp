@@ -28,7 +28,11 @@ class IoError : public std::runtime_error {
 
 /// Precondition check helper: throws InvalidArgument with `message` when
 /// `condition` is false. Used at public API boundaries only; internal
-/// invariants use assert().
+/// invariants use assert(). The literal overload builds the message only
+/// on failure, so a check inside a loop costs one branch per pass.
+inline void expect(bool condition, const char* message) {
+  if (!condition) throw InvalidArgument(message);
+}
 inline void expect(bool condition, const std::string& message) {
   if (!condition) throw InvalidArgument(message);
 }

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "core/acf_analysis.hpp"
@@ -10,6 +13,7 @@
 #include "trace/model.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace core = ftio::core;
 namespace sig = ftio::signal;
@@ -214,6 +218,102 @@ TEST(Metrics, ScoreClampedToUnitInterval) {
   m.sigma_vol = 0.0;
   m.sigma_time = 0.0;
   EXPECT_DOUBLE_EQ(m.periodicity_score(), 1.0);
+}
+
+namespace {
+
+/// compute_metrics with every above-threshold measure walking all
+/// segments of the curve, the form before the walks were windowed.
+core::PeriodicityMetrics all_segments_metrics(const sig::StepFunction& f,
+                                              double fd) {
+  const auto measure = [&f](double a, double b, double threshold) {
+    std::pair<double, double> out{0.0, 0.0};  // length, volume
+    const auto times = f.times();
+    const auto values = f.values();
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      const double lo = std::max(a, times[i]);
+      const double hi = std::min(b, times[i + 1]);
+      if (hi <= lo) continue;
+      if (values[i] > threshold) {
+        out.first += hi - lo;
+        out.second += values[i] * (hi - lo);
+      }
+    }
+    return out;
+  };
+  core::PeriodicityMetrics m;
+  const double length = f.duration();
+  m.noise_threshold = f.total_integral() / length;
+  const auto s = measure(f.start_time(), f.end_time(), m.noise_threshold);
+  m.time_ratio_io = s.first / length;
+  m.substantial_bandwidth = s.first > 0.0 ? s.second / s.first : 0.0;
+  const double period = 1.0 / fd;
+  const auto count = static_cast<std::size_t>(length * fd);
+  m.period_count = count;
+  if (count == 0) return m;
+  const double t0 = f.start_time();
+  std::vector<double> volumes(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const double a = t0 + static_cast<double>(i) * period;
+    volumes[i] = f.integral(a, a + period);
+  }
+  const double vmax = ftio::util::max_value(volumes);
+  if (vmax > 0.0) {
+    std::vector<double> normalised(count);
+    for (std::size_t i = 0; i < count; ++i) normalised[i] = volumes[i] / vmax;
+    m.sigma_vol = ftio::util::stddev(normalised);
+  }
+  double acc = 0.0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const double a = t0 + static_cast<double>(i) * period;
+    const double ratio = measure(a, a + period, m.noise_threshold).first / period;
+    acc += (ratio - m.time_ratio_io) * (ratio - m.time_ratio_io);
+  }
+  m.sigma_time = std::sqrt(acc / static_cast<double>(count));
+  m.bytes_per_period = s.second / (length * fd);
+  return m;
+}
+
+void expect_same_bits(double got, double want, int trial, const char* what) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+            std::bit_cast<std::uint64_t>(want))
+      << what << " trial " << trial;
+}
+
+}  // namespace
+
+TEST(Metrics, WindowedWalksMatchAllSegmentsBitwise) {
+  // Random step functions (irregular knots, zero gaps, a few levels so
+  // values sit on the threshold) and periods from below one knot spacing
+  // to longer than the curve.
+  ftio::util::Rng rng(2024);
+  for (int trial = 0; trial < 300; ++trial) {
+    const auto knots = rng.uniform_int(2, 400);
+    std::vector<double> times{rng.uniform(-50.0, 50.0)};
+    std::vector<double> values;
+    for (std::int64_t k = 1; k < knots; ++k) {
+      times.push_back(times.back() + rng.uniform(1e-3, 3.0));
+      values.push_back(rng.uniform(0.0, 1.0) < 0.3
+                           ? 0.0
+                           : static_cast<double>(rng.uniform_int(1, 5)) *
+                                 rng.uniform(0.9, 1.1));
+    }
+    const sig::StepFunction f(std::move(times), std::move(values));
+    const double fd = 1.0 / (f.duration() * rng.uniform(0.002, 1.2));
+    const auto got = core::compute_metrics(f, fd);
+    const auto want = all_segments_metrics(f, fd);
+    ASSERT_EQ(got.period_count, want.period_count) << "trial " << trial;
+    expect_same_bits(got.noise_threshold, want.noise_threshold, trial,
+                     "noise_threshold");
+    expect_same_bits(got.time_ratio_io, want.time_ratio_io, trial,
+                     "time_ratio_io");
+    expect_same_bits(got.substantial_bandwidth, want.substantial_bandwidth,
+                     trial, "substantial_bandwidth");
+    expect_same_bits(got.sigma_vol, want.sigma_vol, trial, "sigma_vol");
+    expect_same_bits(got.sigma_time, want.sigma_time, trial, "sigma_time");
+    expect_same_bits(got.bytes_per_period, want.bytes_per_period, trial,
+                     "bytes_per_period");
+  }
 }
 
 // ---------------------------------------------------------------------------

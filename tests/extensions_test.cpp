@@ -230,6 +230,36 @@ TEST(PerRank, AggregateCanDifferFromRanks) {
   }
 }
 
+TEST(PerRank, MatchesAnalysisOfEachRankSignal) {
+  // detect_per_rank sweeps rank buckets; each result must equal analysing
+  // rank_bandwidth_signal, which scans the whole trace for one rank.
+  tr::Trace t;
+  t.rank_count = 5;  // rank 3 stays idle
+  for (int p = 0; p < 30; ++p) {
+    for (int rank : {0, 1, 2, 4}) {
+      const double start = p * (8.0 + rank) + 0.1 * rank;
+      t.requests.push_back({rank, start, start + 1.0 + 0.25 * rank,
+                            20'000'000, tr::IoKind::kWrite});
+    }
+  }
+  core::FtioOptions opts;
+  opts.sampling_frequency = 2.0;
+  const auto results = core::detect_per_rank(t, opts);
+  ASSERT_EQ(results.size(), 5u);
+  EXPECT_FALSE(results[3].has_io);
+  for (int rank : {0, 1, 2, 4}) {
+    const auto& got = results[static_cast<std::size_t>(rank)];
+    ASSERT_TRUE(got.has_io);
+    const auto want =
+        core::analyze_bandwidth(tr::rank_bandwidth_signal(t, rank), opts);
+    EXPECT_EQ(got.result.fused.frequency, want.fused.frequency);
+    EXPECT_EQ(got.result.fused.confidence, want.fused.confidence);
+    EXPECT_EQ(got.result.sample_count, want.sample_count);
+    EXPECT_EQ(got.result.window_start, want.window_start);
+    EXPECT_EQ(got.result.window_end, want.window_end);
+  }
+}
+
 TEST(PerRank, RejectsEmptyTrace) {
   tr::Trace t;
   t.rank_count = 0;

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numbers>
 #include <span>
 #include <vector>
@@ -506,7 +509,10 @@ TEST(FindPeaks, DistanceFilterMatchesAllPairsReference) {
   // The distance filter scans index-neighbours only; it must keep exactly
   // the peaks of SciPy's all-pairs formulation (copied below), on signals
   // built from a few discrete levels so plateaus and equal-height peaks
-  // are common.
+  // are common. Prominences must equal, bit for bit, a walk out from each
+  // peak sample by sample (also copied below): on long decaying signals
+  // whose walks pass many blocks, and with NaN samples, which neither stop
+  // a walk nor lower a valley.
   const auto all_pairs = [](std::vector<sig::Peak> peaks,
                             std::size_t distance) {
     std::vector<std::size_t> order(peaks.size());
@@ -534,22 +540,62 @@ TEST(FindPeaks, DistanceFilterMatchesAllPairsReference) {
     }
     return kept;
   };
+  const auto walk_prominence = [](const std::vector<double>& v,
+                                  std::size_t peak) {
+    const double h = v[peak];
+    double left_min = h;
+    for (std::size_t i = peak; i-- > 0;) {
+      if (v[i] > h) break;
+      left_min = std::min(left_min, v[i]);
+    }
+    double right_min = h;
+    for (std::size_t i = peak + 1; i < v.size(); ++i) {
+      if (v[i] > h) break;
+      right_min = std::min(right_min, v[i]);
+    }
+    return h - std::max(left_min, right_min);
+  };
+  const auto expect_walk_prominences = [&](const std::vector<double>& v,
+                                           const std::vector<sig::Peak>& got,
+                                           int trial) {
+    for (const auto& p : got) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(p.prominence),
+                std::bit_cast<std::uint64_t>(walk_prominence(v, p.index)))
+          << "trial " << trial << " peak " << p.index;
+    }
+  };
 
   ftio::util::Rng rng(1234);
-  for (int trial = 0; trial < 400; ++trial) {
-    const auto n = static_cast<std::size_t>(rng.uniform_int(3, 400));
+  for (int trial = 0; trial < 600; ++trial) {
+    // Trials 0-399: short level signals; 400-599: up to 3000 samples, half
+    // of them decaying like an ACF, some with NaNs.
+    const bool long_signal = trial >= 400;
+    const auto n = static_cast<std::size_t>(
+        rng.uniform_int(3, long_signal ? 3000 : 400));
     const auto levels = rng.uniform_int(2, 6);
     const double plateau = rng.uniform(0.0, 0.6);
+    const bool decaying = long_signal && trial % 2 == 0;
+    const double nan_share = long_signal && trial % 3 == 0 ? 0.01 : 0.0;
     std::vector<double> v(n);
     for (std::size_t i = 0; i < n; ++i) {
       v[i] = i > 0 && rng.uniform(0.0, 1.0) < plateau
                  ? v[i - 1]
                  : static_cast<double>(rng.uniform_int(0, levels));
+      if (decaying) {
+        v[i] *= std::exp(-3.0 * static_cast<double>(i) /
+                         static_cast<double>(n));
+      }
+      if (nan_share > 0.0 && rng.uniform(0.0, 1.0) < nan_share) {
+        v[i] = std::numeric_limits<double>::quiet_NaN();
+      }
     }
     const auto distance = static_cast<std::size_t>(rng.uniform_int(2, 50));
 
-    const auto want = all_pairs(sig::find_peaks(v), distance);
+    const auto all = sig::find_peaks(v);
+    expect_walk_prominences(v, all, trial);
+    const auto want = all_pairs(all, distance);
     const auto got = sig::find_peaks(v, {.min_distance = distance});
+    expect_walk_prominences(v, got, trial);
     ASSERT_EQ(got.size(), want.size())
         << "trial " << trial << " n=" << n << " distance=" << distance;
     for (std::size_t i = 0; i < got.size(); ++i) {

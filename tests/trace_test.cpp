@@ -307,6 +307,126 @@ TEST(SweepCoalescing, RankSignalMatchesEventByEventSweep) {
   }
 }
 
+TEST(SweepCoalescing, RankMajorOrderTakesSortFallback) {
+  // File order of a per-rank trace: all of rank 0's requests, then rank
+  // 1's, and so on. Neither stream is in time order, so both are sorted.
+  auto t = collective_trace(37, 9);
+  std::stable_sort(t.requests.begin(), t.requests.end(),
+                   [](const tr::IoRequest& a, const tr::IoRequest& b) {
+                     return a.rank < b.rank;
+                   });
+  expect_bit_identical(tr::bandwidth_signal(t), event_by_event_sweep(t));
+  tr::BandwidthOptions options;
+  options.kind = tr::IoKind::kRead;
+  expect_bit_identical(tr::bandwidth_signal(t, options),
+                       event_by_event_sweep(t, options));
+}
+
+TEST(SweepCoalescing, VariableDurationsLeaveEndsOutOfOrder) {
+  // Sorted by start, with random durations and sizes: the start stream
+  // is already ordered, the end stream is not. Groups of ranks share a
+  // start, so the start stream also carries ties at one time.
+  tr::Trace t;
+  std::mt19937_64 engine(11);
+  std::uniform_real_distribution<double> duration(0.005, 3.0);
+  std::uniform_int_distribution<std::uint64_t> bytes(1, 90'000'000);
+  for (int i = 0; i < 3000; ++i) {
+    const double start = 0.013 * (i / 4);
+    t.requests.push_back(
+        {i % 64, start, start + duration(engine), bytes(engine),
+         i % 3 == 0 ? tr::IoKind::kRead : tr::IoKind::kWrite});
+  }
+  t.sort_by_start();
+  expect_bit_identical(tr::bandwidth_signal(t), event_by_event_sweep(t));
+  tr::BandwidthOptions options;
+  options.window_start = 3.1;
+  options.window_end = 7.7;
+  expect_bit_identical(tr::bandwidth_signal(t, options),
+                       event_by_event_sweep(t, options));
+}
+
+TEST(SweepCoalescing, FilteredRequestSplitsIdenticalGroup) {
+  // Three identical writes, one request the options drop, three more
+  // identical writes: the dropped request ends the first group, and the
+  // second group's events fold into the first group's runs.
+  for (const bool by_kind : {true, false}) {
+    tr::Trace t;
+    const tr::IoRequest write{0, 0.5, 2.5, 7'777'777, tr::IoKind::kWrite};
+    const tr::IoRequest dropped =
+        by_kind ? tr::IoRequest{0, 0.5, 2.5, 7'777'777, tr::IoKind::kRead}
+                : tr::IoRequest{0, 10.0, 11.0, 7'777'777, tr::IoKind::kWrite};
+    for (int i = 0; i < 3; ++i) t.requests.push_back(write);
+    t.requests.push_back(dropped);
+    for (int i = 0; i < 3; ++i) t.requests.push_back(write);
+    t.requests.push_back({1, 1.5, 3.5, 3'333'331, tr::IoKind::kWrite});
+    tr::BandwidthOptions options;
+    if (by_kind) {
+      options.kind = tr::IoKind::kWrite;
+    } else {
+      options.window_end = 5.0;
+    }
+    const auto f = tr::bandwidth_signal(t, options);
+    EXPECT_EQ(f.times().size(), 4u);
+    expect_bit_identical(f, event_by_event_sweep(t, options));
+  }
+}
+
+TEST(SweepCoalescing, EndPrecedesEqualBandwidthStartAtOneTime) {
+  // Request A ends where request B starts, with the same bandwidth b, on
+  // top of a background level c = 1/3. The sweep applies -b before +b;
+  // (c + b) + b - b rounds differently, so taking the start first would
+  // change the bits of the segment [2, 3).
+  tr::Trace t;
+  t.requests.push_back({0, 0.0, 3.0, 1, tr::IoKind::kWrite});
+  t.requests.push_back({1, 1.0, 2.0, 1'610'612'741, tr::IoKind::kWrite});
+  t.requests.push_back({2, 2.0, 3.0, 1'610'612'741, tr::IoKind::kWrite});
+  const auto f = tr::bandwidth_signal(t);
+  ASSERT_EQ(f.times().size(), 4u);
+  const double b = 1'610'612'741.0;
+  const double level = 1.0 / 3.0 + b;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(f.values()[2]),
+            std::bit_cast<std::uint64_t>(level - b + b));
+  EXPECT_NE(std::bit_cast<std::uint64_t>(level - b + b),
+            std::bit_cast<std::uint64_t>(level + b - b));
+  expect_bit_identical(f, event_by_event_sweep(t));
+}
+
+TEST(RankBuckets, EveryBucketSweepsLikeRankBandwidthSignal) {
+  // Ranks interleave in request order, rank 5 is idle, rank 7 only reads
+  // (idle under the write filter), rank 2 repeats identical requests, and
+  // two requests carry ranks outside [0, rank_count).
+  tr::Trace t;
+  t.rank_count = 9;
+  std::mt19937_64 engine(5);
+  std::uniform_real_distribution<double> jitter(0.0, 0.4);
+  for (int phase = 0; phase < 40; ++phase) {
+    for (int rank : {0, 1, 2, 2, 2, 3, 4, 6, 7, 8}) {
+      const double start = 3.0 * phase + (rank == 2 ? 0.0 : jitter(engine));
+      t.requests.push_back({rank, start, start + 1.25, 5'000'011,
+                            rank == 7 || phase % 5 == 4 ? tr::IoKind::kRead
+                                                        : tr::IoKind::kWrite});
+    }
+  }
+  t.requests.push_back({-1, 1.0, 2.0, 1'000, tr::IoKind::kWrite});
+  t.requests.push_back({9, 1.0, 2.0, 1'000, tr::IoKind::kWrite});
+  const auto buckets = tr::bucket_by_rank(t);
+  ASSERT_EQ(buckets.offsets.size(), 10u);
+  EXPECT_EQ(buckets.requests.size(), t.requests.size() - 2);
+  EXPECT_TRUE(buckets.of(5).empty());
+  EXPECT_THROW(buckets.of(-1), ftio::util::InvalidArgument);
+  EXPECT_THROW(buckets.of(9), ftio::util::InvalidArgument);
+  for (const auto kind : {std::optional<tr::IoKind>{},
+                          std::optional<tr::IoKind>{tr::IoKind::kWrite},
+                          std::optional<tr::IoKind>{tr::IoKind::kRead}}) {
+    tr::BandwidthOptions options;
+    options.kind = kind;
+    for (int rank = 0; rank < t.rank_count; ++rank) {
+      expect_bit_identical(tr::bandwidth_signal(buckets.of(rank), options),
+                           tr::rank_bandwidth_signal(t, rank, options));
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Incremental bandwidth compaction
 // ---------------------------------------------------------------------------
