@@ -17,7 +17,8 @@ current file fails the comparison: a silently dropped bench would
 otherwise be un-regressable. Removing an ungated benchmark is only
 reported.
 
-With --normalize NAME, every time in each file is first divided by that
+With --normalize NAME, every time in each file is first converted to
+nanoseconds from its time_unit (ns, us, ms, s) and divided by that
 file's time for NAME before comparing. Pinning NAME to a frozen
 reference kernel measured in the same run (e.g.
 BM_RfftRadix2Scalar/65536) cancels uniform machine-speed differences,
@@ -74,6 +75,14 @@ def load_times(path):
         if name not in times:
             times[name] = (bench["real_time"], bench.get("time_unit", "ns"))
     return times
+
+
+NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
+
+def to_ns(time, unit):
+    """A Google Benchmark real_time in nanoseconds, from its time_unit."""
+    return time * NS_PER_UNIT[unit]
 
 
 def load_history(path):
@@ -222,13 +231,16 @@ def main():
                 print(f"error: --normalize benchmark '{args.normalize}' "
                       f"not found in {label} file {path}")
                 return 2
-            pivot = times[args.normalize][0]
+            unknown = sorted({u for _, u in times.values()} - set(NS_PER_UNIT))
+            if unknown:
+                print(f"error: unknown time_unit {unknown} in {path}")
+                return 2
+            pivot = to_ns(*times[args.normalize])
             if pivot <= 0:
                 print(f"error: --normalize pivot is non-positive in {path}")
                 return 2
             for name in times:
-                t, _ = times[name]
-                times[name] = (t / pivot, "x-ref")
+                times[name] = (to_ns(*times[name]) / pivot, "x-ref")
             del times[args.normalize]  # the pivot is 1.0 by construction
 
     regressions = []

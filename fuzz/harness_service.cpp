@@ -54,10 +54,8 @@ ftio::service::ServiceOptions decode_options(ByteReader& reader) {
   options.materialize_after_requests = 1u + reader.u8() % 4;
   options.ladder.recovery_cycles = 1u + reader.u8() % 4;
   options.ladder.triage_stride = 1u + reader.u8() % 4;
-  if ((reader.u8() & 1) != 0) {
-    options.budget.analyses_per_second = 0.0;
-    options.budget.burst = static_cast<double>(reader.u8() % 4);
-  }
+  // Retired budget flag + burst bytes: skipped so the corpus decodes as before.
+  if ((reader.u8() & 1) != 0) static_cast<void>(reader.u8());
   // Tiny sessions: triage warmup 1 so the cheap tier engages quickly.
   options.session.triage.warmup_analyses = 1;
   return options;

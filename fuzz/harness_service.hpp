@@ -8,7 +8,7 @@ namespace ftio::fuzz {
 /// Fuzz entry point over the ingest daemon's admission path.
 ///
 /// The input bytes decode to a daemon configuration (shard count,
-/// mailbox capacity, materialization threshold, budget, tenant cap —
+/// mailbox capacity, materialization threshold, ladder, tenant cap —
 /// all folded into small ranges) followed by a bounded operation
 /// program: request submissions, framed JSONL/MessagePack submissions
 /// fed raw fuzz bytes (the ParsePolicy::kSkipBad surface), pump cycles,

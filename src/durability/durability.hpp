@@ -46,11 +46,6 @@ struct DurabilityOptions {
   /// stretched by the degradation ladder (doubled per level), so
   /// durability work sheds under overload like any other analysis.
   std::size_t checkpoint_interval_cycles = 64;
-  /// Re-serializing a tenant's session during a checkpoint costs this
-  /// many tokens from the tenant's analysis budget; a broke tenant's
-  /// previous snapshot blob is reused instead (still correct — the
-  /// journal replays the gap). 0 disables metering.
-  double snapshot_token_cost = 0.25;
   /// Take a final checkpoint when the daemon stops cleanly.
   bool checkpoint_on_stop = true;
   /// Hard cap on one decoded journal record / checkpoint tenant frame;

@@ -92,8 +92,6 @@ void ShardStats::merge(const ShardStats& other) {
   grouped_analyses += other.grouped_analyses;
   coalesced_analyses += other.coalesced_analyses;
   stride_skips += other.stride_skips;
-  budget_skips += other.budget_skips;
-  deadline_expired += other.deadline_expired;
   empty_window_analyses += other.empty_window_analyses;
   dropped_ingest_only += other.dropped_ingest_only;
   poisoned_sessions += other.poisoned_sessions;
@@ -105,7 +103,6 @@ void ShardStats::merge(const ShardStats& other) {
   journal_rotations += other.journal_rotations;
   checkpoints_written += other.checkpoints_written;
   checkpoint_failures += other.checkpoint_failures;
-  snapshot_reuses += other.snapshot_reuses;
   replay_skipped_duplicates += other.replay_skipped_duplicates;
   recovery.merge(other.recovery);
   level = std::max(level, other.level);

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "core/detectors.hpp"
 #include "durability/durability.hpp"
 #include "engine/streaming.hpp"
 #include "trace/formats.hpp"
@@ -22,8 +21,8 @@
 /// thread ever touches its sessions. Robustness is the design driver:
 /// admission control and backpressure at the mailbox, a graceful-
 /// degradation ladder that sheds analysis quality before availability,
-/// and fault isolation (parse containment, session quarantine, work-item
-/// deadlines, crash-only shard restart) at every layer. See
+/// and fault isolation (parse containment, session quarantine,
+/// crash-only shard restart) at every layer. See
 /// service/daemon.hpp for the entry point and README "Ingest service"
 /// for the architecture contract.
 namespace ftio::service {
@@ -57,8 +56,8 @@ inline bool admitted(Admission a) {
 enum class DegradationLevel : std::uint8_t {
   /// Every flush analysed with the session's full detector selection.
   kFull = 0,
-  /// Every flush analysed, reduced detector selection
-  /// (LadderOptions::reduced_detectors via StreamingSession::set_detectors).
+  /// Every flush analysed with the default detector selection — the
+  /// registry's {dft, acf} pair, via StreamingSession::set_detectors.
   kReduced = 1,
   /// Analysis cadence stretched to every `triage_stride`-th flush; the
   /// session's triage filter bank answers the flushes in between.
@@ -84,19 +83,6 @@ struct LadderOptions {
   /// Analysis stride at kTriageOnly: predict() runs on every Nth flush
   /// per tenant (must be >= 1).
   std::size_t triage_stride = 4;
-  /// Detector selection applied at kReduced and kTriageOnly; the empty
-  /// default resolves to the registry's {dft, acf} pair, already far
-  /// cheaper than a wide ensemble.
-  ftio::core::DetectorSetOptions reduced_detectors;
-};
-
-/// Per-tenant token-bucket analysis budget. Refilled in wall-clock time;
-/// a burst of 0 disables metering. Exhausted tenants keep ingesting —
-/// only their analysis cadence degrades (ingest-only is the ladder's
-/// cheapest rung applied per tenant).
-struct BudgetOptions {
-  double analyses_per_second = 0.0;  ///< token refill rate
-  double burst = 0.0;                ///< bucket capacity; 0 = unmetered
 };
 
 /// The tenant-session template a multi-tenant daemon wants by default:
@@ -128,9 +114,6 @@ struct ServiceOptions {
   std::size_t max_item_requests = 4096;
   /// Work items drained per shard cycle (the ladder sampling cadence).
   std::size_t drain_batch = 64;
-  /// A work item older than this when dequeued is ingested but not
-  /// analysed (its analysis window has already moved on); 0 disables.
-  double work_deadline_seconds = 0.0;
   /// Live tenants per shard before least-recently-active eviction kicks
   /// in. The second memory backstop: a million-tenant stream runs in
   /// O(max_tenants_per_shard * shards) resident sessions.
@@ -145,7 +128,6 @@ struct ServiceOptions {
   /// Template for every tenant session.
   ftio::engine::StreamingOptions session = default_session_template();
   LadderOptions ladder;
-  BudgetOptions budget;
   /// Checkpoint/WAL layer (see durability/durability.hpp). Disabled by
   /// default: no journal, no checkpoints, no recovery, zero cost.
   ftio::durability::DurabilityOptions durability;
@@ -206,7 +188,10 @@ struct ShardStats {
   /// (drain-cycle dedup — backpressure coalescing at the analysis tier).
   std::size_t coalesced_analyses = 0;
   std::size_t stride_skips = 0;    ///< kTriageOnly cadence skips
-  std::size_t budget_skips = 0;    ///< token bucket empty
+  /// Always 0: the per-tenant analysis budget and the work-item deadline
+  /// that counted here are gone. The fields stay until the next change
+  /// to the end-to-end benchmark, which still reads them, removes them.
+  std::size_t budget_skips = 0;
   std::size_t deadline_expired = 0;
   std::size_t empty_window_analyses = 0;  ///< benign InvalidArgument
   std::size_t dropped_ingest_only = 0;    ///< flushes at kIngestOnly
@@ -223,7 +208,10 @@ struct ShardStats {
   std::size_t journal_rotations = 0;
   std::size_t checkpoints_written = 0;
   std::size_t checkpoint_failures = 0;
-  std::size_t snapshot_reuses = 0;  ///< stale blob reused (token-broke tenant)
+  /// Always 0: checkpoints no longer reuse a stale session blob (only
+  /// an unchanged tenant's cached blob, which is current). Kept, like
+  /// budget_skips, until the next end-to-end benchmark change.
+  std::size_t snapshot_reuses = 0;
   /// Flushes skipped at processing because the journal already replayed
   /// them (mailbox items surviving an in-process restart).
   std::size_t replay_skipped_duplicates = 0;

@@ -10,6 +10,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "core/detectors.hpp"
 #include "durability/checkpoint.hpp"
 #include "util/contracts.hpp"
 #include "util/error.hpp"
@@ -22,6 +23,10 @@ namespace {
 double seconds_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
 }
+
+/// Detector selection of the kReduced and kTriageOnly rungs: the empty
+/// default, which resolves to the registry's {dft, acf} pair.
+const ftio::core::DetectorSetOptions kReducedDetectors{};
 
 }  // namespace
 
@@ -265,12 +270,6 @@ void Shard::process_flush(Flush& flush, DegradationLevel level,
   } else if (ingest_into(tenant, flush, delta)) {
     if (level == DegradationLevel::kIngestOnly) {
       ++delta.counters.dropped_ingest_only;
-    } else if (options_.work_deadline_seconds > 0.0 &&
-               seconds_between(flush.enqueued, started) >
-                   options_.work_deadline_seconds) {
-      // Stale work: the data still entered the curve (analysis windows
-      // to come must see it), but its own analysis slot is forfeit.
-      ++delta.counters.deadline_expired;
     } else {
       ++tenant.flushes_since_analysis;
       const std::size_t stride =
@@ -376,10 +375,6 @@ void Shard::run_due_analyses(DegradationLevel level, CycleDelta& delta) {
 void Shard::analyze(Tenant& tenant, DegradationLevel level,
                     CycleDelta& delta) {
   FTIO_ASSERT(tenant.session != nullptr);
-  if (!take_token(tenant)) {
-    ++delta.counters.budget_skips;
-    return;
-  }
   apply_level(tenant, level);
   try {
     if (FTIO_FAILPOINT("service.session_throw")) {
@@ -404,42 +399,11 @@ void Shard::analyze(Tenant& tenant, DegradationLevel level,
 void Shard::apply_level(Tenant& tenant, DegradationLevel level) {
   const bool reduced = level == DegradationLevel::kReduced ||
                        level == DegradationLevel::kTriageOnly;
-  if (reduced == tenant.reduced_detectors) return;
+  if (reduced == tenant.reduced_set) return;
   tenant.session->set_detectors(reduced
-                                    ? options_.ladder.reduced_detectors
+                                    ? kReducedDetectors
                                     : options_.session.online.base.detectors);
-  tenant.reduced_detectors = reduced;
-}
-
-void Shard::refill_bucket(Tenant& tenant) {
-  const BudgetOptions& budget = options_.budget;
-  const auto now = Clock::now();
-  if (!tenant.bucket_primed) {
-    tenant.tokens = budget.burst;
-    tenant.last_refill = now;
-    tenant.bucket_primed = true;
-  }
-  tenant.tokens = std::min(
-      budget.burst, tenant.tokens + seconds_between(tenant.last_refill, now) *
-                                        budget.analyses_per_second);
-  tenant.last_refill = now;
-}
-
-bool Shard::take_token(Tenant& tenant) {
-  if (options_.budget.burst <= 0.0) return true;
-  refill_bucket(tenant);
-  if (tenant.tokens < 1.0) return false;
-  tenant.tokens -= 1.0;
-  return true;
-}
-
-bool Shard::take_snapshot_token(Tenant& tenant) {
-  const double cost = options_.durability.snapshot_token_cost;
-  if (cost <= 0.0 || options_.budget.burst <= 0.0) return true;
-  refill_bucket(tenant);
-  if (tenant.tokens < cost) return false;
-  tenant.tokens -= cost;
-  return true;
+  tenant.reduced_set = reduced;
 }
 
 Shard::Tenant& Shard::touch(const std::string& name) {
@@ -622,27 +586,17 @@ bool Shard::write_checkpoint(CycleDelta& delta) {
       snap.pending = tenant.pending;
       snap.last_applied_seq = tenant.last_applied_seq;
       if (tenant.session != nullptr) {
-        const bool stale = !tenant.snapshot_valid ||
-                           tenant.snapshot_seq != tenant.last_applied_seq;
-        if (stale) {
-          // A fresh serialization is budgeted like a fraction of an
-          // analysis — but only a tenant that *has* a reusable blob may
-          // skip it (correctness first: without any blob, skipping
-          // would checkpoint a sequence the journal no longer covers
-          // after truncation).
-          if (!tenant.snapshot_valid || take_snapshot_token(tenant)) {
-            tenant.snapshot_blob = tenant.session->serialize_state();
-            tenant.snapshot_seq = tenant.last_applied_seq;
-            tenant.snapshot_valid = true;
-          } else {
-            ++delta.counters.snapshot_reuses;
-          }
+        // Only a tenant nothing was applied to since its last
+        // serialization reuses the cached blob; the blob is then
+        // current, so the declared sequence is the tenant's own.
+        if (!tenant.snapshot_valid ||
+            tenant.snapshot_seq != tenant.last_applied_seq) {
+          tenant.snapshot_blob = tenant.session->serialize_state();
+          tenant.snapshot_seq = tenant.last_applied_seq;
+          tenant.snapshot_valid = true;
         }
         snap.has_session = true;
         snap.session_state = tenant.snapshot_blob;
-        // A stale blob reflects state at snapshot_seq; declaring that
-        // sequence makes replay re-apply the gap.
-        snap.last_applied_seq = tenant.snapshot_seq;
       }
       floor = std::min(floor, snap.last_applied_seq);
       data.tenants.push_back(std::move(snap));
@@ -737,8 +691,6 @@ void Shard::CycleDelta::fold_into(ShardStats& stats) const {
   stats.grouped_analyses += counters.grouped_analyses;
   stats.coalesced_analyses += counters.coalesced_analyses;
   stats.stride_skips += counters.stride_skips;
-  stats.budget_skips += counters.budget_skips;
-  stats.deadline_expired += counters.deadline_expired;
   stats.empty_window_analyses += counters.empty_window_analyses;
   stats.dropped_ingest_only += counters.dropped_ingest_only;
   stats.poisoned_sessions += counters.poisoned_sessions;
@@ -747,7 +699,6 @@ void Shard::CycleDelta::fold_into(ShardStats& stats) const {
   stats.shard_restarts += counters.shard_restarts;
   stats.checkpoints_written += counters.checkpoints_written;
   stats.checkpoint_failures += counters.checkpoint_failures;
-  stats.snapshot_reuses += counters.snapshot_reuses;
   stats.replay_skipped_duplicates += counters.replay_skipped_duplicates;
   stats.ladder_step_downs += counters.ladder_step_downs;
   stats.ladder_step_ups += counters.ladder_step_ups;

@@ -126,20 +126,16 @@ class Shard {
     std::size_t flushes_since_analysis = 0;
     /// Sample count of the last analysis — the warm-plan grouping key.
     std::size_t last_sample_count = 0;
-    bool reduced_detectors = false;  ///< ladder detector set applied
+    bool reduced_set = false;  ///< kReducedDetectors applied by the ladder
     bool poisoned = false;
     // Durability. last_applied_seq is the highest journal sequence
     // reflected in this tenant's state (session + pending); the cached
-    // snapshot blob lets a checkpoint reuse the last serialization when
-    // the token bucket cannot afford a fresh one.
+    // snapshot blob serializes the session at snapshot_seq, so a
+    // checkpoint skips re-serializing a tenant nothing was applied to.
     std::uint64_t last_applied_seq = 0;
     std::vector<std::uint8_t> snapshot_blob;
     std::uint64_t snapshot_seq = 0;
     bool snapshot_valid = false;
-    // Token bucket (BudgetOptions).
-    double tokens = 0.0;
-    Clock::time_point last_refill;
-    bool bucket_primed = false;
     // Drain-cycle bookkeeping.
     std::uint64_t last_cycle = 0;  ///< last cycle that touched the tenant
     std::uint64_t due_cycle = 0;   ///< cycle that marked it due (dedup)
@@ -174,9 +170,6 @@ class Shard {
   void run_due_analyses(DegradationLevel level, CycleDelta& delta);
   void analyze(Tenant& tenant, DegradationLevel level, CycleDelta& delta);
   void apply_level(Tenant& tenant, DegradationLevel level);
-  void refill_bucket(Tenant& tenant);
-  bool take_token(Tenant& tenant);
-  bool take_snapshot_token(Tenant& tenant);
   /// Finds or creates the tenant entry and moves it to the LRU tail.
   Tenant& touch(const std::string& name);
   void evict_idle(CycleDelta& delta);
@@ -197,9 +190,10 @@ class Shard {
   /// Runs in the constructor and inside restart(); throws only when the
   /// journal writer cannot be constructed at all.
   void recover_state();
-  /// Serializes every tenant (reusing cached blobs for token-broke
-  /// ones), writes checkpoint-<seq>.ckpt atomically, and truncates the
-  /// journal to the floor. Returns false (and counts) on failure.
+  /// Serializes every tenant (reusing the cached blob of a tenant
+  /// unchanged since its last serialization), writes
+  /// checkpoint-<seq>.ckpt atomically, and truncates the journal to the
+  /// floor. Returns false (and counts) on failure.
   bool write_checkpoint(CycleDelta& delta);
 
   const std::size_t index_;

@@ -8,27 +8,6 @@ namespace ftio::signal {
 
 namespace {
 
-/// Locates strict local maxima with SciPy's plateau handling: the peak is
-/// the middle of any flat top whose neighbours on both sides are lower.
-std::vector<std::size_t> local_maxima(std::span<const double> v) {
-  std::vector<std::size_t> maxima;
-  const std::size_t n = v.size();
-  std::size_t i = 1;
-  while (i + 1 < n) {
-    if (v[i - 1] < v[i]) {
-      std::size_t ahead = i + 1;
-      while (ahead + 1 < n && v[ahead] == v[i]) ++ahead;
-      if (v[ahead] < v[i]) {
-        maxima.push_back((i + ahead - 1) / 2);
-        i = ahead;
-        continue;
-      }
-    }
-    ++i;
-  }
-  return maxima;
-}
-
 /// Samples per block of the prominence walks.
 constexpr std::size_t kBlock = 64;
 
@@ -92,27 +71,31 @@ double prominence_of(std::span<const double> v, const BlockExtrema& blocks,
 
 std::vector<Peak> find_peaks(std::span<const double> values,
                              const PeakOptions& options) {
+  // Strict local maxima with SciPy's plateau handling: the peak is the
+  // middle of any flat top whose neighbours on both sides are lower. The
+  // height and threshold filters look at one peak each, so they run
+  // inside the scan and rejected maxima are never stored.
   std::vector<Peak> peaks;
-  if (values.size() < 3) return peaks;
-
-  for (std::size_t idx : local_maxima(values)) {
-    Peak p;
-    p.index = idx;
-    p.height = values[idx];
-    peaks.push_back(p);
-  }
-
-  if (options.min_height) {
-    std::erase_if(peaks,
-                  [&](const Peak& p) { return p.height < *options.min_height; });
-  }
-
-  if (options.min_threshold) {
-    std::erase_if(peaks, [&](const Peak& p) {
-      const double left = p.height - values[p.index - 1];
-      const double right = p.height - values[p.index + 1];
-      return std::min(left, right) < *options.min_threshold;
-    });
+  const std::size_t n = values.size();
+  for (std::size_t i = 1; i + 1 < n;) {
+    if (values[i - 1] < values[i]) {
+      std::size_t ahead = i + 1;
+      while (ahead + 1 < n && values[ahead] == values[i]) ++ahead;
+      if (values[ahead] < values[i]) {
+        const std::size_t idx = (i + ahead - 1) / 2;
+        const double height = values[idx];
+        bool keep = !(options.min_height && height < *options.min_height);
+        if (keep && options.min_threshold) {
+          const double left = height - values[idx - 1];
+          const double right = height - values[idx + 1];
+          keep = !(std::min(left, right) < *options.min_threshold);
+        }
+        if (keep) peaks.push_back({.index = idx, .height = height});
+        i = ahead;
+        continue;
+      }
+    }
+    ++i;
   }
 
   if (options.min_distance && *options.min_distance > 1) {

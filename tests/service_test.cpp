@@ -240,40 +240,6 @@ TEST(ServiceTest, IdleTenantsAreEvictedBeyondTheCap) {
             svc::Admission::kAccepted);
 }
 
-TEST(ServiceTest, TokenBucketBoundsAnalysesPerTenant) {
-  svc::ServiceOptions options = foreground_options();
-  options.budget.analyses_per_second = 0.0;  // no refill: burst only
-  options.budget.burst = 2.0;
-  svc::IngestDaemon daemon(options);
-
-  for (int i = 0; i < 5; ++i) {
-    daemon.submit("metered", phase(8.0 * i, 2.0));
-    daemon.pump();
-  }
-  const svc::ShardStats total = daemon.stats().total();
-  EXPECT_EQ(total.analyses + total.empty_window_analyses, 2u);
-  EXPECT_EQ(total.budget_skips, 3u);
-  // Ingest kept flowing: the budget meters analysis, not availability.
-  EXPECT_EQ(total.processed_items, 5u);
-}
-
-TEST(ServiceTest, ExpiredWorkIsIngestedButNotAnalysed) {
-  svc::ServiceOptions options = foreground_options();
-  options.work_deadline_seconds = 1e-9;  // everything is late
-  svc::IngestDaemon daemon(options);
-
-  for (int i = 0; i < 3; ++i) {
-    daemon.submit("late", phase(8.0 * i, 2.0));
-    daemon.pump();
-  }
-  const svc::ShardStats total = daemon.stats().total();
-  EXPECT_EQ(total.deadline_expired, 3u);
-  EXPECT_EQ(total.analyses, 0u);
-  // The data still reached the session (sessions_built proves ingest).
-  EXPECT_EQ(total.sessions_built, 1u);
-  EXPECT_EQ(total.processed_requests, 6u);
-}
-
 TEST(ServiceTest, MalformedRecordsAreContainedPerRecord) {
   svc::IngestDaemon daemon(foreground_options());
 

@@ -7,6 +7,7 @@
 #include <limits>
 #include <numbers>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "signal/autocorrelation.hpp"
@@ -30,6 +31,106 @@ std::vector<double> cosine(double f, double fs, double seconds,
     x[i] = offset + std::cos(2.0 * std::numbers::pi * f * t);
   }
   return x;
+}
+
+/// SciPy's all-pairs distance filter: repeatedly keep the highest
+/// remaining peak (stable on ties) and drop every peak closer than
+/// `distance` samples that is not higher.
+std::vector<sig::Peak> all_pairs_distance(std::vector<sig::Peak> peaks,
+                                          std::size_t distance) {
+  std::vector<std::size_t> order(peaks.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return peaks[a].height > peaks[b].height;
+                   });
+  std::vector<bool> keep(peaks.size(), true);
+  for (std::size_t rank : order) {
+    if (!keep[rank]) continue;
+    for (std::size_t j = 0; j < peaks.size(); ++j) {
+      if (j == rank || !keep[j]) continue;
+      const auto a = peaks[rank].index;
+      const auto b = peaks[j].index;
+      const std::size_t gap = a > b ? a - b : b - a;
+      if (gap < distance && peaks[j].height <= peaks[rank].height) {
+        keep[j] = false;
+      }
+    }
+  }
+  std::vector<sig::Peak> kept;
+  for (std::size_t i = 0; i < peaks.size(); ++i) {
+    if (keep[i]) kept.push_back(peaks[i]);
+  }
+  return kept;
+}
+
+/// Prominence by walking out from the peak sample by sample.
+double walk_prominence(std::span<const double> v, std::size_t peak) {
+  const double h = v[peak];
+  double left_min = h;
+  for (std::size_t i = peak; i-- > 0;) {
+    if (v[i] > h) break;
+    left_min = std::min(left_min, v[i]);
+  }
+  double right_min = h;
+  for (std::size_t i = peak + 1; i < v.size(); ++i) {
+    if (v[i] > h) break;
+    right_min = std::min(right_min, v[i]);
+  }
+  return h - std::max(left_min, right_min);
+}
+
+/// find_peaks the slow, obvious way: every local maximum materialised,
+/// then the height and threshold filters as separate passes over the
+/// stored peaks, then the all-pairs distance filter and walked
+/// prominences.
+std::vector<sig::Peak> reference_find_peaks(std::span<const double> v,
+                                            const sig::PeakOptions& options) {
+  std::vector<sig::Peak> peaks;
+  if (v.size() < 3) return peaks;
+  std::vector<std::size_t> maxima;
+  const std::size_t n = v.size();
+  std::size_t i = 1;
+  while (i + 1 < n) {
+    if (v[i - 1] < v[i]) {
+      std::size_t ahead = i + 1;
+      while (ahead + 1 < n && v[ahead] == v[i]) ++ahead;
+      if (v[ahead] < v[i]) {
+        maxima.push_back((i + ahead - 1) / 2);
+        i = ahead;
+        continue;
+      }
+    }
+    ++i;
+  }
+  for (std::size_t idx : maxima) {
+    sig::Peak p;
+    p.index = idx;
+    p.height = v[idx];
+    peaks.push_back(p);
+  }
+  if (options.min_height) {
+    std::erase_if(peaks, [&](const sig::Peak& p) {
+      return p.height < *options.min_height;
+    });
+  }
+  if (options.min_threshold) {
+    std::erase_if(peaks, [&](const sig::Peak& p) {
+      const double left = p.height - v[p.index - 1];
+      const double right = p.height - v[p.index + 1];
+      return std::min(left, right) < *options.min_threshold;
+    });
+  }
+  if (options.min_distance && *options.min_distance > 1) {
+    peaks = all_pairs_distance(std::move(peaks), *options.min_distance);
+  }
+  for (auto& p : peaks) p.prominence = walk_prominence(v, p.index);
+  if (options.min_prominence) {
+    std::erase_if(peaks, [&](const sig::Peak& p) {
+      return p.prominence < *options.min_prominence;
+    });
+  }
+  return peaks;
 }
 
 }  // namespace
@@ -507,54 +608,12 @@ TEST(FindPeaks, DistanceFilterKeepsFarApartPeaks) {
 
 TEST(FindPeaks, DistanceFilterMatchesAllPairsReference) {
   // The distance filter scans index-neighbours only; it must keep exactly
-  // the peaks of SciPy's all-pairs formulation (copied below), on signals
-  // built from a few discrete levels so plateaus and equal-height peaks
-  // are common. Prominences must equal, bit for bit, a walk out from each
-  // peak sample by sample (also copied below): on long decaying signals
+  // the peaks of SciPy's all-pairs formulation (all_pairs_distance), on
+  // signals built from a few discrete levels so plateaus and equal-height
+  // peaks are common. Prominences must equal, bit for bit, a walk out from
+  // each peak sample by sample (walk_prominence): on long decaying signals
   // whose walks pass many blocks, and with NaN samples, which neither stop
   // a walk nor lower a valley.
-  const auto all_pairs = [](std::vector<sig::Peak> peaks,
-                            std::size_t distance) {
-    std::vector<std::size_t> order(peaks.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return peaks[a].height > peaks[b].height;
-                     });
-    std::vector<bool> keep(peaks.size(), true);
-    for (std::size_t rank : order) {
-      if (!keep[rank]) continue;
-      for (std::size_t j = 0; j < peaks.size(); ++j) {
-        if (j == rank || !keep[j]) continue;
-        const auto a = peaks[rank].index;
-        const auto b = peaks[j].index;
-        const std::size_t gap = a > b ? a - b : b - a;
-        if (gap < distance && peaks[j].height <= peaks[rank].height) {
-          keep[j] = false;
-        }
-      }
-    }
-    std::vector<sig::Peak> kept;
-    for (std::size_t i = 0; i < peaks.size(); ++i) {
-      if (keep[i]) kept.push_back(peaks[i]);
-    }
-    return kept;
-  };
-  const auto walk_prominence = [](const std::vector<double>& v,
-                                  std::size_t peak) {
-    const double h = v[peak];
-    double left_min = h;
-    for (std::size_t i = peak; i-- > 0;) {
-      if (v[i] > h) break;
-      left_min = std::min(left_min, v[i]);
-    }
-    double right_min = h;
-    for (std::size_t i = peak + 1; i < v.size(); ++i) {
-      if (v[i] > h) break;
-      right_min = std::min(right_min, v[i]);
-    }
-    return h - std::max(left_min, right_min);
-  };
   const auto expect_walk_prominences = [&](const std::vector<double>& v,
                                            const std::vector<sig::Peak>& got,
                                            int trial) {
@@ -593,7 +652,7 @@ TEST(FindPeaks, DistanceFilterMatchesAllPairsReference) {
 
     const auto all = sig::find_peaks(v);
     expect_walk_prominences(v, all, trial);
-    const auto want = all_pairs(all, distance);
+    const auto want = all_pairs_distance(all, distance);
     const auto got = sig::find_peaks(v, {.min_distance = distance});
     expect_walk_prominences(v, got, trial);
     ASSERT_EQ(got.size(), want.size())
@@ -602,6 +661,64 @@ TEST(FindPeaks, DistanceFilterMatchesAllPairsReference) {
       EXPECT_EQ(got[i].index, want[i].index) << "trial " << trial;
       EXPECT_EQ(got[i].height, want[i].height) << "trial " << trial;
       EXPECT_EQ(got[i].prominence, want[i].prominence) << "trial " << trial;
+    }
+  }
+}
+
+TEST(FindPeaks, OnePassScanMatchesMaterialiseThenFilter) {
+  // find_peaks applies the height and threshold filters inside its
+  // plateau scan. It must return what reference_find_peaks returns by
+  // storing every maximum and filtering afterwards: same indices, and
+  // bit-equal heights and prominences, for all 16 combinations of the
+  // four options, on level signals with plateaus, NaN and +-inf samples
+  // (and NaN or +-inf option values now and then).
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kSpecial[] = {kNaN, kInf, -kInf};
+  ftio::util::Rng rng(4321);
+  const auto option_value = [&](double lo, double hi) {
+    const auto pick = rng.uniform_int(0, 15);
+    return pick < 3 ? kSpecial[pick] : rng.uniform(lo, hi);
+  };
+  for (int trial = 0; trial < 3200; ++trial) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(0, 300));
+    const auto levels = static_cast<double>(rng.uniform_int(1, 6));
+    const double plateau = rng.uniform(0.0, 0.6);
+    const double special = trial % 3 == 0 ? 0.0 : rng.uniform(0.0, 0.1);
+    const double jitter = trial % 2 == 0 ? 0.0 : 0.5;
+    std::vector<double> v(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i > 0 && rng.uniform(0.0, 1.0) < plateau) {
+        v[i] = v[i - 1];
+      } else if (rng.uniform(0.0, 1.0) < special) {
+        v[i] = kSpecial[rng.uniform_int(0, 2)];
+      } else {
+        v[i] = static_cast<double>(rng.uniform_int(0, 6)) * levels / 6.0 +
+               rng.uniform(-jitter, jitter);
+      }
+    }
+    const int mask = trial % 16;
+    sig::PeakOptions options;
+    if ((mask & 1) != 0) options.min_height = option_value(-1.0, levels + 1.0);
+    if ((mask & 2) != 0) options.min_threshold = option_value(-1.0, 3.0);
+    if ((mask & 4) != 0) {
+      options.min_distance = static_cast<std::size_t>(rng.uniform_int(0, 20));
+    }
+    if ((mask & 8) != 0) {
+      options.min_prominence = option_value(-1.0, levels + 1.0);
+    }
+
+    const auto want = reference_find_peaks(v, options);
+    const auto got = sig::find_peaks(v, options);
+    ASSERT_EQ(got.size(), want.size()) << "trial " << trial << " n=" << n;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].index, want[i].index) << "trial " << trial;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].height),
+                std::bit_cast<std::uint64_t>(want[i].height))
+          << "trial " << trial;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].prominence),
+                std::bit_cast<std::uint64_t>(want[i].prominence))
+          << "trial " << trial;
     }
   }
 }
