@@ -100,7 +100,16 @@ void BM_FftPlanarPlanCached(benchmark::State& state) {
     benchmark::DoNotOptimize(out_im.data());
   }
 }
-BENCHMARK(BM_FftPlanarPlanCached)->Arg(4096)->Arg(1 << 16)->Arg(1 << 18);
+// 3 * 2^k and 5 * 2^k run directly (one radix-3/5 pass over split-radix
+// sub-transforms), next to the powers of two they sit between.
+BENCHMARK(BM_FftPlanarPlanCached)
+    ->Arg(4096)
+    ->Arg(1 << 16)
+    ->Arg(1 << 18)
+    ->Arg(3 << 10)
+    ->Arg(5 << 10)
+    ->Arg(3 << 14)
+    ->Arg(5 << 14);
 
 void BM_RfftRadix2Scalar(benchmark::State& state) {
   namespace sig = ftio::signal;
@@ -305,15 +314,18 @@ void BM_Spectrum(benchmark::State& state) {
 }
 BENCHMARK(BM_Spectrum)->Arg(7817)->Arg(1 << 16);
 
-void BM_SpectrumFreshSize(benchmark::State& state) {
-  // The online-flush shape: windows of ever-changing non-power-of-two
-  // length, so nearly every spectrum builds its size's tables. A rotation
-  // of 64 distinct lengths in [603, 1170] (odd and even alike) runs
-  // against a plan cache smaller than the rotation, which evicts each
-  // length before it comes round again; one iteration is one spectrum.
+/// One spectrum per iteration over a rotation of 64 distinct window
+/// lengths first + step * i (odd and even alike), against a plan cache
+/// smaller than the rotation, which evicts each length before it comes
+/// round again: the online-flush shape, where nearly every spectrum
+/// builds its size's tables.
+void spectrum_fresh_sizes(benchmark::State& state, std::size_t first,
+                          std::size_t step) {
   constexpr std::size_t kLengths = 64;
   std::vector<std::vector<double>> signals;
-  for (std::size_t i = 0; i < kLengths; ++i) signals.push_back(tone(603 + 9 * i));
+  for (std::size_t i = 0; i < kLengths; ++i) {
+    signals.push_back(tone(first + step * i));
+  }
   auto& cache = ftio::signal::plan_cache();
   const std::size_t saved = cache.capacity();
   cache.set_capacity(kLengths / 4);
@@ -325,7 +337,18 @@ void BM_SpectrumFreshSize(benchmark::State& state) {
   }
   cache.set_capacity(saved);
 }
+
+void BM_SpectrumFreshSize(benchmark::State& state) {
+  // Lengths 603..1170: the median online window.
+  spectrum_fresh_sizes(state, 603, 9);
+}
 BENCHMARK(BM_SpectrumFreshSize);
+
+void BM_SpectrumFreshSizeLong(benchmark::State& state) {
+  // Lengths 4099..16132: the long windows where most flush time sits.
+  spectrum_fresh_sizes(state, 4099, 191);
+}
+BENCHMARK(BM_SpectrumFreshSizeLong);
 
 void BM_Autocorrelation(benchmark::State& state) {
   const auto x = tone(static_cast<std::size_t>(state.range(0)));

@@ -91,12 +91,19 @@ DftAnalysis analyze_spectrum(const ftio::signal::Spectrum& spectrum,
   if (bins <= 1) return out;
   std::vector<double> powers(spectrum.power.begin() + 1, spectrum.power.end());
 
-  const auto z = ftio::util::z_scores(powers);
-  out.max_zscore = *std::max_element(z.begin(), z.end());
   out.mean_bin_contribution =
       1.0 / static_cast<double>(spectrum.inspected_bins());
+  // A spectrum whose spread is at rounding level — every bin equal up to
+  // the transform's 1e-12 accuracy, as for a lone impulse — has no
+  // outlier: its z-scores would only rank the transform's rounding noise,
+  // so the verdict would depend on which kernel computed the bins.
+  constexpr double kFlatSpread = 1e-9;  // relative to the mean power
+  if (ftio::util::stddev(powers) <= kFlatSpread * ftio::util::mean(powers)) {
+    return out;
+  }
 
-  if (out.max_zscore <= 0.0) return out;  // flat spectrum
+  const auto z = ftio::util::z_scores(powers);
+  out.max_zscore = *std::max_element(z.begin(), z.end());
 
   // Optional alternative detector: intersect its flags with the Z-score
   // rule so confidence sums stay well defined.

@@ -160,14 +160,14 @@ class LombScargleDetector final : public PeriodDetector {
     // Pseudo-spectrum over the LS grid: frequency_step() must equal df
     // and bin k must mean "k cycles in the window" for the candidate
     // rule's min_cycles to keep its meaning (rescaled under
-    // oversampling). Amplitudes/phases are not read by analyze_spectrum.
+    // oversampling). The complex bins are not read by analyze_spectrum.
     ftio::signal::Spectrum pseudo;
     pseudo.total_samples = 2 * k_max;
     pseudo.sampling_frequency = static_cast<double>(2 * k_max) * df;
     pseudo.frequencies.resize(k_max + 1);
     pseudo.power.resize(k_max + 1);
-    pseudo.amplitudes.assign(k_max + 1, 0.0);
-    pseudo.phases.assign(k_max + 1, 0.0);
+    pseudo.bin_re.assign(k_max + 1, 0.0);
+    pseudo.bin_im.assign(k_max + 1, 0.0);
     pseudo.frequencies[0] = 0.0;
     pseudo.power[0] = 0.0;
     double total_power = 0.0;

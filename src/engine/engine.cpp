@@ -6,7 +6,6 @@
 
 #include "core/detectors.hpp"
 #include "signal/autocorrelation.hpp"
-#include "signal/fft.hpp"
 #include "signal/plan.hpp"
 #include "signal/spectrum.hpp"
 #include "util/error.hpp"
@@ -32,14 +31,14 @@ struct ViewWork {
 
 /// Pre-builds the plans the batch will need: the real-input tables for
 /// the rfft at each window length (what compute_spectrum actually runs)
-/// and the complex plan for the ACF convolution size next_pow2(2N).
+/// and the plan for the ACF convolution size acf_transform_size(N).
 void warm_plan(std::size_t n, bool with_acf) {
   ftio::signal::get_plan(n)->prepare(/*for_real_input=*/true);
   if (with_acf) {
-    // The ACF runs the packed real path at the power-of-two convolution
-    // size, so its half-size sub-plan and unpack twiddles are the lazy
-    // state to pre-build.
-    ftio::signal::get_plan(ftio::signal::next_power_of_two(2 * n))
+    // The ACF runs the packed real path at its convolution size, so its
+    // half-size sub-plan and unpack twiddles are the lazy state to
+    // pre-build.
+    ftio::signal::get_plan(ftio::signal::acf_transform_size(n))
         ->prepare(/*for_real_input=*/true);
   }
 }

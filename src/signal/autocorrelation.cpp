@@ -58,7 +58,7 @@ std::vector<double> acf_impl(std::span<const double> samples, bool center) {
   // per-thread scratch and the M-point plan comes from the cache, so
   // repeated ACF calls (the Sec. III-A sweeps run thousands) neither
   // reallocate nor recompute twiddles.
-  const std::size_t m = next_power_of_two(2 * n);
+  const std::size_t m = acf_transform_size(n);
   thread_local std::vector<double> padded;
   thread_local std::vector<double> spec_re;
   thread_local std::vector<double> spec_im;
@@ -80,6 +80,10 @@ std::vector<double> acf_impl(std::span<const double> samples, bool center) {
 
 }  // namespace
 
+std::size_t acf_transform_size(std::size_t n) {
+  return next_power_of_two(2 * n);
+}
+
 std::vector<double> autocorrelation(std::span<const double> samples) {
   return acf_impl(samples, /*center=*/false);
 }
@@ -96,15 +100,15 @@ std::vector<std::vector<double>> autocorrelation_many(
     ftio::util::expect(!s.empty(), "autocorrelation_many: empty signal");
   }
 
-  // Group the signals by their power-of-two convolution size (different
-  // lengths can share one m = next_pow2(2n)): every group's forward and
+  // Group the signals by their convolution size (different lengths can
+  // share one m = acf_transform_size(n)): every group's forward and
   // inverse transforms run through the plan's stage-major batched
   // execution over cache-resident tiles, with the same zero-padding,
   // power, and normalisation steps as the per-signal path — out[i] is
   // bit-identical to autocorrelation(signals[i]).
   detail::grouped_batch_tiles(
       signals.size(), threads,
-      [&](std::size_t i) { return next_power_of_two(2 * signals[i].size()); },
+      [&](std::size_t i) { return acf_transform_size(signals[i].size()); },
       [&](std::size_t i) { out[i] = autocorrelation(signals[i]); },
       [&](const FftPlan& plan, std::span<const std::size_t> tile) {
         const std::size_t m = plan.size();

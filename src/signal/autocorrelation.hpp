@@ -1,9 +1,19 @@
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
 namespace ftio::signal {
+
+/// Zero-padded transform length of the FFT autocorrelation of n samples:
+/// the smallest power of two >= 2n, so the circular correlation equals the
+/// linear one; even, as the packed real path needs. Any length >= 2n - 1
+/// gives the same correlation up to rounding, but the ACF peak picker
+/// breaks exact ties between neighbouring lags (common on the
+/// piecewise-constant bandwidth signals) by that rounding, so this length
+/// stays fixed until the peak picker is tie-robust.
+std::size_t acf_transform_size(std::size_t n);
 
 /// Autocorrelation function of `samples` for lags 0..N-1, matching the
 /// non-normalised NumPy `correlate(x, x, mode='full')[N-1:]` the paper
@@ -18,7 +28,7 @@ std::vector<double> autocorrelation(std::span<const double> samples);
 std::vector<double> autocorrelation_centered(std::span<const double> samples);
 
 /// Batched autocorrelation of many signals (the engine's multi-window
-/// path): signals sharing a power-of-two convolution size run their
+/// path): signals sharing an acf_transform_size run their
 /// forward and inverse transforms through the plan's stage-major batched
 /// execution, with cache-resident batch tiles fanned across up to
 /// `threads` workers (0 = hardware concurrency; 1 = serial). out[i] is

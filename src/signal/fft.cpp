@@ -1,5 +1,7 @@
 #include "signal/fft.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numbers>
 
@@ -41,6 +43,22 @@ std::size_t next_power_of_two(std::size_t n) {
   std::size_t p = 1;
   while (p < n) p <<= 1;
   return p;
+}
+
+bool is_direct_size(std::size_t n) {
+  if (n == 0) return false;
+  const std::size_t odd = n >> std::countr_zero(n);
+  return odd == 1 || odd == 3 || odd == 5;
+}
+
+std::size_t convolution_size(std::size_t n) {
+  std::size_t best = next_power_of_two(n);
+  for (const std::size_t r : {std::size_t{3}, std::size_t{5}}) {
+    std::size_t p = r;
+    while (p < n) p <<= 1;
+    best = std::min(best, p);
+  }
+  return best;
 }
 
 std::vector<Complex> fft(std::span<const Complex> input) {

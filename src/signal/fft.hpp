@@ -10,8 +10,9 @@ using Complex = std::complex<double>;
 
 /// Discrete Fourier transform X_k = sum_n x_n * exp(-2*pi*i*k*n/N), the
 /// definition in Sec. II-B1 of the paper. Runs the split-radix planar FFT
-/// core when N is a power of two and Bluestein's chirp-z algorithm on
-/// that core otherwise, so every N costs O(N log N). Backed by the
+/// core when N is a power of two, one radix-3/5 pass over it when N is
+/// 3*2^k or 5*2^k, and Bluestein's chirp-z algorithm on that core
+/// otherwise, so every N costs O(N log N). Backed by the
 /// process-wide plan cache (signal/plan.hpp): twiddle factors,
 /// bit-reversal permutations, and chirp-z tables are computed once per
 /// size and reused across calls and threads. This vector form is the one
@@ -34,5 +35,15 @@ bool is_power_of_two(std::size_t n);
 
 /// Smallest power of two >= n.
 std::size_t next_power_of_two(std::size_t n);
+
+/// True when n is 2^k, 3*2^k or 5*2^k: the sizes FftPlan transforms
+/// directly, without chirp-z.
+bool is_direct_size(std::size_t n);
+
+/// The convolution length rule: the smallest of 2^k, 3*2^k and 5*2^k that
+/// is >= n. Every zero-padded convolution (the chirp-z kernel, the FFT
+/// autocorrelation) pads to this size, so it always runs on the direct
+/// core. For even n >= 2 the result is even.
+std::size_t convolution_size(std::size_t n);
 
 }  // namespace ftio::signal

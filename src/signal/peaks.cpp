@@ -1,73 +1,8 @@
 #include "signal/peaks.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
 namespace ftio::signal {
-
-namespace {
-
-/// Samples per block of the prominence walks.
-constexpr std::size_t kBlock = 64;
-
-/// Per-block minimum and maximum of the non-NaN samples (+inf and -inf
-/// for a block of NaNs): a walk passes a whole block in one step when no
-/// sample in it is higher than the peak.
-struct BlockExtrema {
-  std::vector<double> lo;
-  std::vector<double> hi;
-};
-
-BlockExtrema block_extrema(std::span<const double> v) {
-  const std::size_t blocks = (v.size() + kBlock - 1) / kBlock;
-  BlockExtrema out;
-  out.lo.assign(blocks, std::numeric_limits<double>::infinity());
-  out.hi.assign(blocks, -std::numeric_limits<double>::infinity());
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    const std::size_t b = i / kBlock;
-    out.lo[b] = std::min(out.lo[b], v[i]);
-    if (v[i] > out.hi[b]) out.hi[b] = v[i];
-  }
-  return out;
-}
-
-double prominence_of(std::span<const double> v, const BlockExtrema& blocks,
-                     std::size_t peak) {
-  // Walk left/right until a sample higher than the peak (or the border),
-  // tracking the lowest valley on each side; prominence = peak - max(valley).
-  // Min is exact and NaNs never stop a walk or lower a valley, so passing
-  // whole blocks by their extrema gives the sample-by-sample result.
-  const double h = v[peak];
-  double left_min = h;
-  std::size_t i = peak;  // samples [0, i) are still to walk
-  for (; i > 0 && i % kBlock != 0 && !(v[i - 1] > h); --i) {
-    left_min = std::min(left_min, v[i - 1]);
-  }
-  if (i % kBlock == 0) {
-    for (; i > 0 && !(blocks.hi[i / kBlock - 1] > h); i -= kBlock) {
-      left_min = std::min(left_min, blocks.lo[i / kBlock - 1]);
-    }
-    for (; i > 0 && !(v[i - 1] > h); --i) {
-      left_min = std::min(left_min, v[i - 1]);
-    }
-  }
-  double right_min = h;
-  i = peak + 1;  // samples [i, n) are still to walk
-  const std::size_t n = v.size();
-  for (; i < n && i % kBlock != 0 && !(v[i] > h); ++i) {
-    right_min = std::min(right_min, v[i]);
-  }
-  if (i % kBlock == 0) {
-    for (; i < n && !(blocks.hi[i / kBlock] > h); i += kBlock) {
-      right_min = std::min(right_min, blocks.lo[i / kBlock]);
-    }
-    for (; i < n && !(v[i] > h); ++i) right_min = std::min(right_min, v[i]);
-  }
-  return h - std::max(left_min, right_min);
-}
-
-}  // namespace
 
 std::vector<Peak> find_peaks(std::span<const double> values,
                              const PeakOptions& options) {
@@ -128,19 +63,6 @@ std::vector<Peak> find_peaks(std::span<const double> values,
       if (keep[i]) filtered.push_back(peaks[i]);
     }
     peaks = std::move(filtered);
-  }
-
-  if (!peaks.empty()) {
-    const BlockExtrema blocks = block_extrema(values);
-    for (auto& p : peaks) {
-      p.prominence = prominence_of(values, blocks, p.index);
-    }
-  }
-
-  if (options.min_prominence) {
-    std::erase_if(peaks, [&](const Peak& p) {
-      return p.prominence < *options.min_prominence;
-    });
   }
 
   return peaks;

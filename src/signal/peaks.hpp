@@ -18,20 +18,17 @@ struct PeakOptions {
   /// Minimum number of samples between neighbouring peaks
   /// (SciPy `distance`); smaller peaks are removed first.
   std::optional<std::size_t> min_distance{};
-  /// Minimum prominence (SciPy `prominence`).
-  std::optional<double> min_prominence{};
 };
 
 /// A detected local maximum.
 struct Peak {
   std::size_t index = 0;     ///< sample index of the peak
   double height = 0.0;       ///< value at the peak
-  double prominence = 0.0;   ///< topographic prominence
 };
 
 /// Finds local maxima of `values`. A flat-topped maximum reports the
 /// middle sample of its plateau, matching SciPy. Filters are applied in
-/// SciPy's order: height, threshold, distance, prominence.
+/// SciPy's order: height, threshold, distance.
 std::vector<Peak> find_peaks(std::span<const double> values,
                              const PeakOptions& options = {});
 

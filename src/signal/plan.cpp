@@ -20,10 +20,6 @@ namespace {
 
 constexpr double kTwoPi = 2.0 * std::numbers::pi;
 
-/// exp(-2*pi*i*k/n) with the quarter-period points snapped to their exact
-/// values. sin(pi) rounds to ~1.22e-16 rather than 0, and that residue
-/// multiplied into a nonzero bin turns an exactly-zero spectrum line into
-/// noise (visible on constant signals, whose off-DC bins cancel exactly).
 /// The planar aliasing contract shared by every planar entry point: an
 /// input lane and an output lane must either be the same array (full
 /// alias, the documented in-place form) or not overlap at all. Partial
@@ -36,6 +32,13 @@ inline bool alias_full_or_disjoint(const double* in, const double* out,
   return in + n <= out || out + n <= in;
 }
 
+/// exp(-2*pi*i*k/n) with the quarter-period points snapped to their exact
+/// values. sin(pi) rounds to ~1.22e-16 rather than 0, and that residue
+/// multiplied into a nonzero bin turns an exactly-zero spectrum line into
+/// noise (visible on constant signals, whose off-DC bins cancel exactly).
+/// The power-of-two tables keep this one-evaluation-per-root form: their
+/// few sizes stay cached, and their bits are the ones every FFT
+/// autocorrelation runs on.
 Complex unit_root(std::size_t k, std::size_t n) {
   if (k == 0) return Complex(1.0, 0.0);
   if (4 * k == n) return Complex(0.0, -1.0);
@@ -44,6 +47,43 @@ Complex unit_root(std::size_t k, std::size_t n) {
   const double angle = -kTwoPi * static_cast<double>(k) /
                        static_cast<double>(n);
   return Complex(std::cos(angle), std::sin(angle));
+}
+
+/// w_j = exp(-2*pi*i*j/n) for j in [0, n/2] into re/im (resized to
+/// n/2 + 1). Only the fundamental domain of the root symmetries pays a
+/// cos/sin evaluation — [0, n/8] when 4 divides n, [0, n/4] for other
+/// even n, [0, n/2] for odd n — and every other root is a sign change or
+/// a cos/sin swap of one of those: w_{n/4-j} = (-Im w_j, -Re w_j) and
+/// w_{n/2-j} = (-Re w_j, Im w_j). The quarter-period points come out
+/// exact, as in unit_root. The value at j depends only on (j, n), so two
+/// tables of the same n agree bit for bit whichever plan built them.
+/// Roots past n/2 are the conjugates w_{n-j} = conj(w_j). Every table
+/// except the power-of-two ones is built this way.
+void half_unit_roots(std::size_t n, std::vector<double>& re,
+                     std::vector<double>& im) {
+  const std::size_t half = n / 2;
+  re.resize(half + 1);
+  im.resize(half + 1);
+  const std::size_t domain =
+      n % 4 == 0 ? n / 8 : (n % 2 == 0 ? n / 4 : half);
+  for (std::size_t j = 0; j <= domain; ++j) {
+    const double angle =
+        kTwoPi * static_cast<double>(j) / static_cast<double>(n);
+    re[j] = std::cos(angle);
+    im[j] = -std::sin(angle);
+  }
+  if (n % 2 != 0) return;
+  std::size_t j = domain + 1;
+  if (n % 4 == 0) {
+    for (; j <= n / 4; ++j) {
+      re[j] = -im[n / 4 - j];
+      im[j] = -re[n / 4 - j];
+    }
+  }
+  for (; j <= half; ++j) {
+    re[j] = -re[half - j];
+    im[j] = im[half - j];
+  }
 }
 
 /// Bit-reversal permutation for a power-of-two n, the classic in-place
@@ -80,16 +120,19 @@ void for_each_split_node(std::size_t n, std::size_t len, Fn&& fn) {
 
 /// Per-thread scratch. Each member is dedicated to one call site so that
 /// nested transforms (forward_real_half_planar -> half plan -> chirp-z
-/// -> power-of-two core) never step on each other's buffer:
+/// -> direct core) never step on each other's buffer:
 ///   re/im   — the bit-reversed lanes the split core runs on: the packed
-///             real path's N/2 signal, and the chirp-z convolution
+///             real path's N/2 signal, the chirp-z convolution, and the
+///             full spectrum of the N = 3, 5 real transforms
 ///   re2/im2 — secondary planar scratch: the linear-order side of the
-///             chirp-z convolution, the linearised fold of the blocked
-///             inverse-real path, and the copy that makes the in-place
-///             power-of-two entry points alias-safe
+///             chirp-z convolution, the linearised fold of the
+///             inverse-real path (blocked powers of two and r * 2^k
+///             halves), and the copy that makes the in-place direct
+///             entry points alias-safe
 ///   hre/him — the packed N/2 signal (and its spectrum, in place) of an
-///             even N whose half is not a power of two, and the rebuilt
-///             full spectrum of the odd-N real inverse
+///             even N whose half runs chirp-z, the rebuilt full spectrum
+///             of the odd-N real inverse, and the zero imaginary lane of
+///             the N = 3, 5 real forward
 /// Buffers only grow, so steady-state transforms do no allocation at all.
 struct Workspace {
   std::vector<double> re;
@@ -233,81 +276,102 @@ void bitrev_permute_pairs(const std::uint32_t* bitrev, std::size_t n,
 // FftPlan
 // ---------------------------------------------------------------------------
 
-FftPlan::FftPlan(std::size_t n) : n_(n), pow2_(is_power_of_two(n)) {
+FftPlan::FftPlan(std::size_t n) : n_(n) {
   ftio::util::expect(n >= 1, "FftPlan: size must be >= 1");
   ftio::util::expect(n <= (std::size_t{1} << 31),
                      "FftPlan: size exceeds 2^31");
+  if (!is_direct_size(n_)) return;  // chirp-z: every table is lazy
+  radix_ = n_ >> std::countr_zero(n_);
+  pow2_ = radix_ == 1;
+  if (n_ < 2) return;
 
-  if (pow2_ && n_ >= 2) {
-    bitrev_ = build_bitrev(n_);
+  // Every twiddle below is an N-th root of unity — the split-radix stage-L
+  // twiddle exp(-2*pi*i*k/L) of the power-of-two factor L = N/r is root
+  // k*N/L — so for N = r * 2^k one half table of the N-th roots (N/8
+  // cos/sin pairs) serves them all.
+  const std::size_t len = n_ / radix_;
+  std::vector<double> wre, wim;
+  if (!pow2_) half_unit_roots(n_, wre, wim);
+  const auto root = [&](std::size_t j) {
+    if (pow2_) return unit_root(j, n_);
+    return 2 * j <= n_ ? Complex(wre[j], wim[j])
+                       : Complex(wre[n_ - j], -wim[n_ - j]);
+  };
 
-    if (n_ >= 4) {
-      // Leaf schedule for the fused (2,4) base pass: enumerate the
-      // size-2 and size-4 nodes of the split-radix tree and type every
-      // aligned 4-block. The tree guarantees each block is either one
-      // size-4 node or a pair of size-2 nodes; expect() pins that
-      // invariant so a schedule bug fails at plan build, not as silent
-      // numerical corruption.
-      std::vector<std::uint8_t> is2(n_ / 2, 0);
-      for_each_split_node(n_, 2, [&](std::size_t p) { is2[p / 2] = 1; });
-      base4_.assign(n_ / 4, 0);
-      for_each_split_node(n_, 4, [&](std::size_t p) { base4_[p / 4] = 1; });
-      for (std::size_t b = 0; b < base4_.size(); ++b) {
-        if (base4_[b]) {
-          ftio::util::expect(is2[2 * b] && !is2[2 * b + 1],
-                             "FftPlan: bad split-radix leaf schedule");
-        } else {
-          ftio::util::expect(is2[2 * b] && is2[2 * b + 1],
-                             "FftPlan: bad split-radix leaf schedule");
-        }
+  bitrev_ = build_bitrev(len);
+  if (len >= 4) {
+    // Leaf schedule for the fused (2,4) base pass: enumerate the
+    // size-2 and size-4 nodes of the split-radix tree and type every
+    // aligned 4-block. The tree guarantees each block is either one
+    // size-4 node or a pair of size-2 nodes; expect() pins that
+    // invariant so a schedule bug fails at plan build, not as silent
+    // numerical corruption.
+    std::vector<std::uint8_t> is2(len / 2, 0);
+    for_each_split_node(len, 2, [&](std::size_t p) { is2[p / 2] = 1; });
+    base4_.assign(len / 4, 0);
+    for_each_split_node(len, 4, [&](std::size_t p) { base4_[p / 4] = 1; });
+    for (std::size_t b = 0; b < base4_.size(); ++b) {
+      if (base4_[b]) {
+        ftio::util::expect(is2[2 * b] && !is2[2 * b + 1],
+                           "FftPlan: bad split-radix leaf schedule");
+      } else {
+        ftio::util::expect(is2[2 * b] && is2[2 * b + 1],
+                           "FftPlan: bad split-radix leaf schedule");
       }
     }
+  }
 
-    // Combine stages of length 8..N with the (w^k, w^{3k}) twiddle pair,
-    // all folded out of one recursive root table: the stage-L twiddle
-    // exp(-2*pi*i*k/L) is the root-stage twiddle at index k*N/L, bit for
-    // bit — scaling the angle's numerator and denominator by the same
-    // power of two commutes with IEEE rounding, and the quarter-period
-    // snap conditions scale identically. Only the two length-N/4 root
-    // tables pay a cos/sin evaluation (~N/2 calls); every shorter stage
-    // is a strided copy, which roughly halves the trigonometry that
-    // dominated cold plan construction.
-    if (n_ >= 8) {
-      const std::size_t root_quarter = n_ / 4;
-      std::vector<double> rw1re(root_quarter), rw1im(root_quarter);
-      std::vector<double> rw3re(root_quarter), rw3im(root_quarter);
-      for (std::size_t k = 0; k < root_quarter; ++k) {
-        const Complex w1 = unit_root(k, n_);
-        const Complex w3 = unit_root(3 * k, n_);
-        rw1re[k] = w1.real();
-        rw1im[k] = w1.imag();
-        rw3re[k] = w3.real();
-        rw3im[k] = w3.imag();
+  // Combine stages of length 8..L with the (w^k, w^{3k}) twiddle pair,
+  // all folded out of one root-stage table: the stage-S twiddle
+  // exp(-2*pi*i*k/S) is the root-stage twiddle at index k*L/S, bit for
+  // bit, so only the root stage evaluates roots and every shorter stage
+  // is a strided copy.
+  if (len >= 8) {
+    const std::size_t root_quarter = len / 4;
+    SplitStage top;
+    top.len = len;
+    top.w1re.resize(root_quarter);
+    top.w1im.resize(root_quarter);
+    top.w3re.resize(root_quarter);
+    top.w3im.resize(root_quarter);
+    for (std::size_t k = 0; k < root_quarter; ++k) {
+      const Complex w1 = root(k * radix_);
+      const Complex w3 = root(3 * k * radix_);
+      top.w1re[k] = w1.real();
+      top.w1im[k] = w1.imag();
+      top.w3re[k] = w3.real();
+      top.w3im[k] = w3.imag();
+    }
+    for (std::size_t stage_len = 8; stage_len < len; stage_len <<= 1) {
+      SplitStage stage;
+      stage.len = stage_len;
+      const std::size_t quarter = stage_len / 4;
+      const std::size_t step = len / stage_len;
+      stage.w1re.resize(quarter);
+      stage.w1im.resize(quarter);
+      stage.w3re.resize(quarter);
+      stage.w3im.resize(quarter);
+      for (std::size_t k = 0; k < quarter; ++k) {
+        stage.w1re[k] = top.w1re[k * step];
+        stage.w1im[k] = top.w1im[k * step];
+        stage.w3re[k] = top.w3re[k * step];
+        stage.w3im[k] = top.w3im[k * step];
       }
-      for (std::size_t len = 8; len < n_; len <<= 1) {
-        SplitStage stage;
-        stage.len = len;
-        const std::size_t quarter = len / 4;
-        const std::size_t step = n_ / len;
-        stage.w1re.resize(quarter);
-        stage.w1im.resize(quarter);
-        stage.w3re.resize(quarter);
-        stage.w3im.resize(quarter);
-        for (std::size_t k = 0; k < quarter; ++k) {
-          stage.w1re[k] = rw1re[k * step];
-          stage.w1im[k] = rw1im[k * step];
-          stage.w3re[k] = rw3re[k * step];
-          stage.w3im[k] = rw3im[k * step];
-        }
-        stages_.push_back(std::move(stage));
+      stages_.push_back(std::move(stage));
+    }
+    stages_.push_back(std::move(top));
+  }
+
+  // Outer-pass twiddles w^{qk}, q in [1, r), k < L: every index is < N.
+  if (radix_ > 1) {
+    outer_re_.resize((radix_ - 1) * len);
+    outer_im_.resize((radix_ - 1) * len);
+    for (std::size_t q = 1; q < radix_; ++q) {
+      for (std::size_t k = 0; k < len; ++k) {
+        const Complex w = root(q * k);
+        outer_re_[(q - 1) * len + k] = w.real();
+        outer_im_[(q - 1) * len + k] = w.imag();
       }
-      SplitStage root;
-      root.len = n_;
-      root.w1re = std::move(rw1re);
-      root.w1im = std::move(rw1im);
-      root.w3re = std::move(rw3re);
-      root.w3im = std::move(rw3im);
-      stages_.push_back(std::move(root));
     }
   }
 }
@@ -372,6 +436,159 @@ void split_combine(double* re, double* im, std::size_t quarter,
       vi[k] = u1i - t2r;
       sr[k] = u1r - t2i;
       si[k] = u1i + t2r;
+    }
+  }
+}
+
+/// The stride-r split of a direct r * L transform folded into the
+/// sub-transforms' bit-reversal: block q of the output lanes receives
+/// x[r*n + q] in bit-reversed order, out[q*L + i] = x[r*bitrev[i] + q],
+/// so each source read takes r neighbouring samples and each block is
+/// written stride-1. Element j of the input is
+/// (in_re[j * step], in_im[j * step]). in and out must not overlap.
+template <std::size_t R>
+void radix_gather(const std::uint32_t* __restrict bitrev, std::size_t len,
+                  const double* in_re, const double* in_im,
+                  std::size_t step, double* __restrict out_re,
+                  double* __restrict out_im) {
+  for (std::size_t i = 0; i < len; ++i) {
+    const std::size_t src = R * static_cast<std::size_t>(bitrev[i]) * step;
+    for (std::size_t q = 0; q < R; ++q) {
+      out_re[q * len + i] = in_re[src + q * step];
+      out_im[q * len + i] = in_im[src + q * step];
+    }
+  }
+}
+
+/// The radix-3 decimation-in-time outer pass of an N = 3L transform, in
+/// place over the three natural-order L-point sub-spectra Y_q (block q of
+/// the lanes, the DFT of x[3n + q]): for k < L, with t_q = w^{qk} Y_q[k]
+/// and w = exp(-2*pi*i/N), X[k + sL] = sum_q t_q exp(-2*pi*i*qs/3).
+/// Position k of every block is read before position k of any block is
+/// written, so the pass needs no scratch.
+template <bool Inv>
+void radix3_pass(double* re, double* im, std::size_t len,
+                 const double* w_re, const double* w_im) {
+  constexpr double kSin60 = 0.86602540378443864676;  // sin(2*pi/3)
+  double* __restrict ar = re;
+  double* __restrict ai = im;
+  double* __restrict br = re + len;
+  double* __restrict bi = im + len;
+  double* __restrict cr = re + 2 * len;
+  double* __restrict ci = im + 2 * len;
+  const double* __restrict w1r = w_re;
+  const double* __restrict w1i = w_im;
+  const double* __restrict w2r = w_re + len;
+  const double* __restrict w2i = w_im + len;
+#pragma omp simd
+  for (std::size_t k = 0; k < len; ++k) {
+    const double a1r = w1r[k];
+    const double a1i = Inv ? -w1i[k] : w1i[k];
+    const double a2r = w2r[k];
+    const double a2i = Inv ? -w2i[k] : w2i[k];
+    const double x0r = ar[k], x0i = ai[k];
+    const double x1r = a1r * br[k] - a1i * bi[k];
+    const double x1i = a1r * bi[k] + a1i * br[k];
+    const double x2r = a2r * cr[k] - a2i * ci[k];
+    const double x2i = a2r * ci[k] + a2i * cr[k];
+    const double tr = x1r + x2r, ti = x1i + x2i;
+    const double dr = kSin60 * (x1r - x2r), di = kSin60 * (x1i - x2i);
+    const double mr = x0r - 0.5 * tr, mi = x0i - 0.5 * ti;
+    ar[k] = x0r + tr;
+    ai[k] = x0i + ti;
+    // X_1 = m -+ i d, X_2 = m +- i d (upper signs forward).
+    if constexpr (Inv) {
+      br[k] = mr - di;
+      bi[k] = mi + dr;
+      cr[k] = mr + di;
+      ci[k] = mi - dr;
+    } else {
+      br[k] = mr + di;
+      bi[k] = mi - dr;
+      cr[k] = mr - di;
+      ci[k] = mi + dr;
+    }
+  }
+}
+
+/// The radix-5 outer pass of an N = 5L transform, same layout and
+/// in-place order as radix3_pass, with the 5-point DFT written out
+/// straight-line: with t1 = x1 + x4, t2 = x2 + x3, d1 = x1 - x4,
+/// d2 = x2 - x3 and c_j/s_j = cos/sin(2*pi*j/5),
+///   X_0 = x0 + t1 + t2
+///   X_1, X_4 = x0 + c1 t1 + c2 t2 -+ i (s1 d1 + s2 d2)
+///   X_2, X_3 = x0 + c2 t1 + c1 t2 -+ i (s2 d1 - s1 d2)
+/// (upper signs forward; the inverse swaps them).
+template <bool Inv>
+void radix5_pass(double* re, double* im, std::size_t len,
+                 const double* w_re, const double* w_im) {
+  constexpr double kC1 = 0.30901699437494742410;   // cos(2*pi/5)
+  constexpr double kC2 = -0.80901699437494742410;  // cos(4*pi/5)
+  constexpr double kS1 = 0.95105651629515357212;   // sin(2*pi/5)
+  constexpr double kS2 = 0.58778525229247312917;   // sin(4*pi/5)
+  double* __restrict r0 = re;
+  double* __restrict i0 = im;
+  double* __restrict r1 = re + len;
+  double* __restrict i1 = im + len;
+  double* __restrict r2 = re + 2 * len;
+  double* __restrict i2 = im + 2 * len;
+  double* __restrict r3 = re + 3 * len;
+  double* __restrict i3 = im + 3 * len;
+  double* __restrict r4 = re + 4 * len;
+  double* __restrict i4 = im + 4 * len;
+  const double* __restrict w1r = w_re;
+  const double* __restrict w1i = w_im;
+  const double* __restrict w2r = w_re + len;
+  const double* __restrict w2i = w_im + len;
+  const double* __restrict w3r = w_re + 2 * len;
+  const double* __restrict w3i = w_im + 2 * len;
+  const double* __restrict w4r = w_re + 3 * len;
+  const double* __restrict w4i = w_im + 3 * len;
+#pragma omp simd
+  for (std::size_t k = 0; k < len; ++k) {
+    const double a1r = w1r[k], a1i = Inv ? -w1i[k] : w1i[k];
+    const double a2r = w2r[k], a2i = Inv ? -w2i[k] : w2i[k];
+    const double a3r = w3r[k], a3i = Inv ? -w3i[k] : w3i[k];
+    const double a4r = w4r[k], a4i = Inv ? -w4i[k] : w4i[k];
+    const double x0r = r0[k], x0i = i0[k];
+    const double x1r = a1r * r1[k] - a1i * i1[k];
+    const double x1i = a1r * i1[k] + a1i * r1[k];
+    const double x2r = a2r * r2[k] - a2i * i2[k];
+    const double x2i = a2r * i2[k] + a2i * r2[k];
+    const double x3r = a3r * r3[k] - a3i * i3[k];
+    const double x3i = a3r * i3[k] + a3i * r3[k];
+    const double x4r = a4r * r4[k] - a4i * i4[k];
+    const double x4i = a4r * i4[k] + a4i * r4[k];
+    const double t1r = x1r + x4r, t1i = x1i + x4i;
+    const double t2r = x2r + x3r, t2i = x2i + x3i;
+    const double d1r = x1r - x4r, d1i = x1i - x4i;
+    const double d2r = x2r - x3r, d2i = x2i - x3i;
+    const double m1r = x0r + kC1 * t1r + kC2 * t2r;
+    const double m1i = x0i + kC1 * t1i + kC2 * t2i;
+    const double m2r = x0r + kC2 * t1r + kC1 * t2r;
+    const double m2i = x0i + kC2 * t1i + kC1 * t2i;
+    const double v1r = kS1 * d1r + kS2 * d2r, v1i = kS1 * d1i + kS2 * d2i;
+    const double v2r = kS2 * d1r - kS1 * d2r, v2i = kS2 * d1i - kS1 * d2i;
+    r0[k] = x0r + t1r + t2r;
+    i0[k] = x0i + t1i + t2i;
+    if constexpr (Inv) {
+      r1[k] = m1r - v1i;
+      i1[k] = m1i + v1r;
+      r4[k] = m1r + v1i;
+      i4[k] = m1i - v1r;
+      r2[k] = m2r - v2i;
+      i2[k] = m2i + v2r;
+      r3[k] = m2r + v2i;
+      i3[k] = m2i - v2r;
+    } else {
+      r1[k] = m1r + v1i;
+      i1[k] = m1i - v1r;
+      r4[k] = m1r - v1i;
+      i4[k] = m1i + v1r;
+      r2[k] = m2r + v2i;
+      i2[k] = m2i - v2r;
+      r3[k] = m2r - v2i;
+      i3[k] = m2i + v2r;
     }
   }
 }
@@ -751,6 +968,43 @@ void FftPlan::split_passes(double* re, double* im, bool invert) const {
     split_subtree<true>(re, im, n_, 0);
   } else {
     split_subtree<false>(re, im, n_, 0);
+  }
+}
+
+template <bool Inv>
+void FftPlan::run_direct(const double* in_re, const double* in_im,
+                         std::size_t step, double* out_re,
+                         double* out_im) const {
+  if (n_ == 1) {
+    out_re[0] = in_re[0];
+    out_im[0] = in_im[0];
+    return;
+  }
+  if (pow2_) {
+    if (step == 1) {
+      detail::bitrev_permute_planar(bitrev_.data(), n_, in_re, in_im, out_re,
+                                    out_im);
+    } else {
+      detail::bitrev_permute_pairs(bitrev_.data(), n_, in_re, out_re, out_im);
+    }
+    split_subtree<Inv>(out_re, out_im, n_, 0);
+    return;
+  }
+  const std::size_t len = n_ / radix_;
+  if (radix_ == 3) {
+    radix_gather<3>(bitrev_.data(), len, in_re, in_im, step, out_re, out_im);
+  } else {
+    radix_gather<5>(bitrev_.data(), len, in_re, in_im, step, out_re, out_im);
+  }
+  if (len >= 2) {
+    for (std::size_t q = 0; q < radix_; ++q) {
+      split_subtree<Inv>(out_re + q * len, out_im + q * len, len, 0);
+    }
+  }
+  if (radix_ == 3) {
+    radix3_pass<Inv>(out_re, out_im, len, outer_re_.data(), outer_im_.data());
+  } else {
+    radix5_pass<Inv>(out_re, out_im, len, outer_re_.data(), outer_im_.data());
   }
 }
 
@@ -1146,50 +1400,68 @@ void FftPlan::irfft_half_planar_batch_into(std::size_t batch,
 
 void FftPlan::ensure_real_tables() const {
   std::call_once(real_once_, [this] {
-    half_ = get_plan(n_ / 2);
-    // The packed real path always runs the half plan's complex transform,
-    // so finish its lazy state here rather than on first use.
-    half_->prepare(/*for_real_input=*/false);
-    // W^{h-k} = -conj(W^k) for h = N/2, so only k <= h/2 pays a cos/sin
-    // evaluation and the rest mirror it. Power-of-two plans evaluate every
-    // k: their few sizes stay cached, so the mirror would save nothing,
-    // and their tables keep the bits every autocorrelation runs on.
+    // A direct half plan is shared through the cache like every other
+    // convolution-size plan. A chirp-z half has a size no other caller
+    // asks for, so it is built privately: through the cache, every fresh
+    // even N would insert two entries and push out the reusable
+    // convolution plans twice as fast.
     const std::size_t h = n_ / 2;
-    const std::size_t direct = pow2_ ? h : h / 2;
-    rtw_re_.resize(h + 1);
-    rtw_im_.resize(h + 1);
-    for (std::size_t k = 0; k <= direct; ++k) {
-      const Complex w = unit_root(k, n_);
-      rtw_re_[k] = w.real();
-      rtw_im_[k] = w.imag();
+    half_ = is_direct_size(h) ? get_plan(h)
+                              : std::make_shared<const FftPlan>(h);
+    if (pow2_) {
+      rtw_re_.resize(h + 1);
+      rtw_im_.resize(h + 1);
+      for (std::size_t k = 0; k <= h; ++k) {
+        const Complex w = unit_root(k, n_);
+        rtw_re_[k] = w.real();
+        rtw_im_[k] = w.imag();
+      }
+    } else {
+      half_unit_roots(n_, rtw_re_, rtw_im_);
     }
-    for (std::size_t k = direct + 1; k <= h; ++k) {
-      rtw_re_[k] = -rtw_re_[h - k];
-      rtw_im_[k] = rtw_im_[h - k];
+    // The packed real path always runs the half plan's complex transform,
+    // so finish its lazy state here rather than on first use. A chirp-z
+    // half plan of size h = N/2 needs the 2h-th roots over [0, h] — this
+    // plan's unpack roots, so its chirp costs no trigonometry at all.
+    if (half_->radix_ == 0) {
+      (void)half_->chirp_z_tables(/*half_output=*/false, rtw_re_.data(),
+                                  rtw_im_.data());
     }
   });
 }
 
-const FftPlan::ChirpZ& FftPlan::chirp_z_tables(bool half_output) const {
+const FftPlan::ChirpZ& FftPlan::chirp_z_tables(bool half_output,
+                                               const double* roots_re,
+                                               const double* roots_im) const {
   ChirpZ& t = half_output ? half_cz_ : full_cz_;
   std::call_once(half_output ? half_once_ : full_once_, [&] {
     const std::size_t n = n_;
     t.bins = half_output ? n / 2 + 1 : n;
-    const std::size_t m = next_power_of_two(n + t.bins - 1);
+    const std::size_t m = convolution_size(n + t.bins - 1);
     t.sub = get_plan(m);
 
-    // Chirp c_k = exp(-i*pi*k^2/N). The exact phase index k^2 mod 2N is
+    // Chirp c_k = exp(-i*pi*k^2/N) = w_{k^2 mod 2N} over the 2N-th roots
+    // w_j = exp(-i*pi*j/N). The exact phase index k^2 mod 2N is
     // accumulated through (k+1)^2 = k^2 + 2k + 1 without a division, and
-    // only k <= N/2 pays a cos/sin: since (N-k)^2 = k^2 + N (N - 2k),
+    // only k <= N/2 is looked up: since (N-k)^2 = k^2 + N (N - 2k),
     // c_{N-k} = (-1)^N c_k.
+    std::vector<double> own_re, own_im;
+    if (roots_re == nullptr) {
+      half_unit_roots(2 * n, own_re, own_im);
+      roots_re = own_re.data();
+      roots_im = own_im.data();
+    }
     t.cre.resize(n);
     t.cim.resize(n);
     std::size_t k2 = 0;
     for (std::size_t k = 0; 2 * k <= n; ++k) {
-      const double angle = -std::numbers::pi * static_cast<double>(k2) /
-                           static_cast<double>(n);
-      t.cre[k] = std::cos(angle);
-      t.cim[k] = std::sin(angle);
+      if (k2 <= n) {
+        t.cre[k] = roots_re[k2];
+        t.cim[k] = roots_im[k2];
+      } else {
+        t.cre[k] = roots_re[2 * n - k2];
+        t.cim[k] = -roots_im[2 * n - k2];
+      }
       k2 += 2 * k + 1;
       if (k2 >= 2 * n) k2 -= 2 * n;
     }
@@ -1200,7 +1472,7 @@ const FftPlan::ChirpZ& FftPlan::chirp_z_tables(bool half_output) const {
     }
 
     // Kernel spectrum: transform the wrapped conjugate chirp on the
-    // power-of-two core, then conjugate and pre-scale by 1/M so the
+    // direct core, then conjugate and pre-scale by 1/M so the
     // execution's pointwise product feeds a plain forward pass.
     auto& ws = workspace();
     ws.re.resize(m);
@@ -1215,9 +1487,8 @@ const FftPlan::ChirpZ& FftPlan::chirp_z_tables(bool half_output) const {
       t.kre[m - j] = t.cre[j];
       t.kim[m - j] = -t.cim[j];
     }
-    detail::bitrev_permute_planar(t.sub->bitrev_.data(), m, t.kre.data(),
-                                  t.kim.data(), ws.re.data(), ws.im.data());
-    t.sub->split_passes(ws.re.data(), ws.im.data(), /*invert=*/false);
+    t.sub->run_direct<false>(t.kre.data(), t.kim.data(), 1, ws.re.data(),
+                             ws.im.data());
     const double inv_m = 1.0 / static_cast<double>(m);
     for (std::size_t i = 0; i < m; ++i) {
       t.kre[i] = ws.re[i] * inv_m;
@@ -1233,7 +1504,7 @@ void FftPlan::prepare(bool for_real_input) const {
     ensure_real_tables();
     return;
   }
-  if (!pow2_) (void)chirp_z_tables(/*half_output=*/for_real_input);
+  if (radix_ == 0) (void)chirp_z_tables(/*half_output=*/for_real_input);
 }
 
 void FftPlan::chirp_z(const ChirpZ& t, const double* in_re,
@@ -1241,7 +1512,6 @@ void FftPlan::chirp_z(const ChirpZ& t, const double* in_re,
                       double* out_im) const {
   const std::size_t n = n_;
   const std::size_t m = t.sub->n_;
-  const std::uint32_t* bp = t.sub->bitrev_.data();
   auto& ws = workspace();
   ws.re.resize(m);
   ws.im.resize(m);
@@ -1271,8 +1541,7 @@ void FftPlan::chirp_z(const ChirpZ& t, const double* in_re,
   }
   std::fill(lr + n, lr + m, 0.0);
   std::fill(li + n, li + m, 0.0);
-  detail::bitrev_permute_planar(bp, m, lr, li, pr, pi);
-  t.sub->split_passes(pr, pi, /*invert=*/false);
+  t.sub->run_direct<false>(lr, li, 1, pr, pi);
 
   // conj(A * B) / M = conj(A) * K with the stored kernel K, so one more
   // forward pass yields conj(a (*) b): the inverse without an inverse.
@@ -1284,8 +1553,7 @@ void FftPlan::chirp_z(const ChirpZ& t, const double* in_re,
     pr[i] = ar * kr[i] + ai * ki[i];
     pi[i] = ar * ki[i] - ai * kr[i];
   }
-  detail::bitrev_permute_planar(bp, m, pr, pi, lr, li);
-  t.sub->split_passes(lr, li, /*invert=*/false);
+  t.sub->run_direct<false>(pr, pi, 1, lr, li);
 
   // X_k = c_k * conj(R_k); the inverse conjugates and scales on the way out.
   const double scale = inverse ? 1.0 / static_cast<double>(n) : 1.0;
@@ -1314,7 +1582,7 @@ void FftPlan::forward_planar(std::span<const double> in_re,
     return;
   }
   auto& ws = workspace();
-  if (pow2_) {
+  if (radix_ != 0) {
     const double* sr = in_re.data();
     const double* si = in_im.data();
     if (sr == out_re.data() || si == out_im.data()) {
@@ -1326,9 +1594,7 @@ void FftPlan::forward_planar(std::span<const double> in_re,
       sr = ws.re2.data();
       si = ws.im2.data();
     }
-    detail::bitrev_permute_planar(bitrev_.data(), n_, sr, si,
-                                  out_re.data(), out_im.data());
-    split_passes(out_re.data(), out_im.data(), /*invert=*/false);
+    run_direct<false>(sr, si, 1, out_re.data(), out_im.data());
     return;
   }
   chirp_z(chirp_z_tables(/*half_output=*/false), in_re.data(), in_im.data(),
@@ -1352,7 +1618,7 @@ void FftPlan::inverse_planar(std::span<const double> in_re,
   }
   auto& ws = workspace();
   const double scale = 1.0 / static_cast<double>(n_);
-  if (pow2_) {
+  if (radix_ != 0) {
     const double* sr = in_re.data();
     const double* si = in_im.data();
     if (sr == out_re.data() || si == out_im.data()) {
@@ -1361,9 +1627,7 @@ void FftPlan::inverse_planar(std::span<const double> in_re,
       sr = ws.re2.data();
       si = ws.im2.data();
     }
-    detail::bitrev_permute_planar(bitrev_.data(), n_, sr, si,
-                                  out_re.data(), out_im.data());
-    split_passes(out_re.data(), out_im.data(), /*invert=*/true);
+    run_direct<true>(sr, si, 1, out_re.data(), out_im.data());
     for (std::size_t i = 0; i < n_; ++i) {
       out_re[i] *= scale;
       out_im[i] *= scale;
@@ -1386,6 +1650,19 @@ void FftPlan::forward_real_half_planar(std::span<const double> in,
     return;
   }
   if (n_ % 2 != 0) {
+    if (radix_ != 0) {
+      // N = 3 or 5: the complex transform of (x, 0), which keeps direct
+      // plans free of chirp-z tables (and the plan graph free of cycles).
+      auto& ws = workspace();
+      ws.him.assign(n_, 0.0);
+      ws.re.resize(n_);
+      ws.im.resize(n_);
+      run_direct<false>(in.data(), ws.him.data(), 1, ws.re.data(),
+                        ws.im.data());
+      std::copy_n(ws.re.data(), out_re.size(), out_re.data());
+      std::copy_n(ws.im.data(), out_im.size(), out_im.data());
+      return;
+    }
     chirp_z(chirp_z_tables(/*half_output=*/true), in.data(), nullptr,
             /*inverse=*/false, out_re.data(), out_im.data());
     return;
@@ -1423,28 +1700,22 @@ void FftPlan::forward_real_half_planar(std::span<const double> in,
       out_im[k] = ei + twr[k] * odi + twi[k] * odr;
     }
   };
-  if (half_->pow2_) {
-    // Fast path: pack the real pairs straight into the planar split
-    // buffers, permuting as we go — no interleaved complex copy at all.
+  if (half_->radix_ != 0) {
+    // Fast path: the half plan's gather reads the real pairs straight
+    // into the planar split buffers, permuting as it goes — no
+    // interleaved complex copy at all.
     ws.re.resize(h);
     ws.im.resize(h);
     double* re = ws.re.data();
     double* im = ws.im.data();
-    if (h == 1) {
-      re[0] = in[0];
-      im[0] = in[1];
-    } else {
-      detail::bitrev_permute_pairs(half_->bitrev_.data(), h, in.data(), re,
-                                   im);
-      half_->split_passes(re, im, /*invert=*/false);
-    }
+    half_->run_direct<false>(in.data(), in.data() + 1, 2, re, im);
     unpack([&](std::size_t k) { return re[k]; },
            [&](std::size_t k) { return im[k]; });
     return;
   }
 
-  // Even N with a non power-of-two half: the packed half-size signal
-  // runs through the half plan's chirp-z transform in place.
+  // Even N with a chirp-z half: the packed half-size signal runs through
+  // the half plan's chirp-z transform in place.
   ws.hre.resize(h);
   ws.him.resize(h);
   double* hr = ws.hre.data();
@@ -1487,6 +1758,14 @@ void FftPlan::inverse_real_half_planar(std::span<const double> in_re,
       hr[n_ - k] = in_re[k];
       hi[n_ - k] = -in_im[k];
     }
+    if (radix_ != 0) {  // N = 3 or 5, as in forward_real_half_planar
+      ws.re.resize(n_);
+      ws.im.resize(n_);
+      run_direct<true>(hr, hi, 1, ws.re.data(), ws.im.data());
+      const double scale = 1.0 / static_cast<double>(n_);
+      for (std::size_t k = 0; k < n_; ++k) out[k] = ws.re[k] * scale;
+      return;
+    }
     chirp_z(chirp_z_tables(/*half_output=*/false), hr, hi, /*inverse=*/true,
             out.data(), hi);
     return;
@@ -1519,32 +1798,12 @@ void FftPlan::inverse_real_half_planar(std::span<const double> in_re,
     const double odi = rtw_re_[k] * di - rtw_im_[k] * dr;
     return {er - odi, ei + odr};
   };
-  if (half_->pow2_) {
+  if (half_->radix_ != 0) {
     ws.re.resize(h);
     ws.im.resize(h);
     double* re = ws.re.data();
     double* im = ws.im.data();
-    if (h == 1) {
-      re[0] = z0.r;
-      im[0] = z0.i;
-    } else if (h >= detail::kBlockedBitrevMinN) {
-      // Large N: materialise the fold in linear order, then run the
-      // cache-blocked permutation — two streaming passes instead of one
-      // scattered one. Same values into the same slots as the direct
-      // scatter below, so the threshold never changes results.
-      ws.re2.resize(h);
-      ws.im2.resize(h);
-      ws.re2[0] = z0.r;
-      ws.im2[0] = z0.i;
-      for (std::size_t k = 1; k < h; ++k) {
-        const Z z = z_at(k);
-        ws.re2[k] = z.r;
-        ws.im2[k] = z.i;
-      }
-      detail::bitrev_permute_planar(half_->bitrev_.data(), h,
-                                    ws.re2.data(), ws.im2.data(), re, im);
-      half_->split_passes(re, im, /*invert=*/true);
-    } else {
+    if (half_->pow2_ && h > 1 && h < detail::kBlockedBitrevMinN) {
       // Scatter into bit-reversed order so the split passes run directly
       // (bitrev[0] == 0: z0 lands in slot 0).
       const std::uint32_t* bp = half_->bitrev_.data();
@@ -1557,6 +1816,22 @@ void FftPlan::inverse_real_half_planar(std::span<const double> in_re,
         im[d] = z.i;
       }
       half_->split_passes(re, im, /*invert=*/true);
+    } else {
+      // Materialise the fold in linear order and let the half plan's own
+      // gather permute it: the cache-blocked permutation at large powers
+      // of two, the radix-r gather otherwise. Same values into the same
+      // slots as the direct scatter above, so the choice never changes
+      // results.
+      ws.re2.resize(h);
+      ws.im2.resize(h);
+      ws.re2[0] = z0.r;
+      ws.im2[0] = z0.i;
+      for (std::size_t k = 1; k < h; ++k) {
+        const Z z = z_at(k);
+        ws.re2[k] = z.r;
+        ws.im2[k] = z.i;
+      }
+      half_->run_direct<true>(ws.re2.data(), ws.im2.data(), 1, re, im);
     }
     const double scale = 1.0 / static_cast<double>(h);
     for (std::size_t j = 0; j < h; ++j) {

@@ -13,12 +13,12 @@ namespace ftio::signal {
 
 /// Precomputed transform state for one size N. A plan owns every table the
 /// transform needs — the bit-reversal permutation, the split-radix stage
-/// schedule and its per-stage twiddle pairs for the power-of-two path, the
-/// chirp-z (Bluestein) tables for every other N, and (for even N) a
-/// half-size sub-plan plus the unpack twiddles that make the real-input
-/// fast path possible. Plans are immutable after construction and
-/// therefore safe to share across threads; the lazily built tables are
-/// guarded by std::call_once, and mutable scratch lives in per-thread
+/// schedule and its per-stage twiddle pairs, the radix-3/5 outer-pass
+/// twiddles, the chirp-z (Bluestein) tables for every other N, and (for
+/// even N) a half-size sub-plan plus the unpack twiddles that make the
+/// real-input fast path possible. Plans are immutable after construction
+/// and therefore safe to share across threads; the lazily built tables
+/// are guarded by std::call_once, and mutable scratch lives in per-thread
 /// workspaces inside the execution functions.
 ///
 /// The power-of-two core is a split-radix (radix-2/4 mixed) decomposition
@@ -35,16 +35,30 @@ namespace ftio::signal {
 /// calls, which GCC and Clang auto-vectorise (SSE2 baseline, AVX2 with
 /// -march=x86-64-v3 — see the FTIO_X86_64_V3 CMake option).
 ///
-/// Every other N runs Bluestein's chirp-z algorithm on the same planar
-/// core: X_k = c_k * sum_n (x_n c_n) conj(c_{k-n}) with the chirp
-/// c_k = exp(-i*pi*k^2/N), evaluated as a cyclic convolution of
-/// power-of-two length M — a forward pass, a pointwise product with the
-/// precomputed kernel spectrum, and a second forward pass on the
-/// conjugate in place of the inverse. Complex transforms (and the
-/// half-size transform of an even N) need all N bins, so M =
-/// next_pow2(2N-1); the odd-N real transform needs only bins 0..N/2, so
-/// its tables use M = next_pow2(N + N/2), half the full length for odd N
-/// in the lower third of each octave (2^k/2 < N <= 2^k/1.5).
+/// N = r * 2^k with r in {3, 5} runs directly on the same core: one
+/// decimation-in-time radix-r outer pass over r split-radix
+/// sub-transforms of size 2^k. The stride-r split of the input is folded
+/// into the sub-transforms' bit-reversal gather (one pass writes all r
+/// blocks in permuted order), the split-radix stages run per block, and
+/// one in-place pass twiddles the blocks by w^{qk} and combines them with
+/// a straight-line 3- or 5-point butterfly. These are the sizes
+/// is_direct_size() names.
+///
+/// Every other N runs Bluestein's chirp-z algorithm on the direct core:
+/// X_k = c_k * sum_n (x_n c_n) conj(c_{k-n}) with the chirp
+/// c_k = exp(-i*pi*k^2/N), evaluated as a cyclic convolution of length
+/// M = convolution_size(N + bins - 1), the smallest 2^k, 3*2^k or 5*2^k
+/// that keeps every index distance apart — a forward pass, a pointwise
+/// product with the precomputed kernel spectrum, and a second forward
+/// pass on the conjugate in place of the inverse. Complex transforms (and
+/// the half-size transform of an even N) need all N bins, so M >= 2N-1;
+/// the odd-N real transform needs only bins 0..N/2, so its tables use
+/// M >= N + N/2. The chirp is a table of 2N-th roots of unity. Every
+/// root table outside the power-of-two plans (which keep one cos/sin per
+/// root, and so their bits) is evaluated once per distinct value up to
+/// the octant symmetries (N/4 cos/sin pairs for the chirp of an even N);
+/// the chirp of an even plan's half-size sub-plan reuses the plan's own
+/// unpack roots and evaluates none.
 ///
 /// Layout contract: a split-complex signal is a pair of equal-length
 /// double arrays re[]/im[] owned by the caller; element k of the logical
@@ -154,9 +168,10 @@ class FftPlan {
   /// bins (indices k in [0, N/2]) are written; the conjugate-symmetric
   /// upper half is never computed or stored. Even N runs as one half-size
   /// complex transform (N real -> N/2 complex + O(N) unpack), packed
-  /// straight into the planar split buffers when N/2 is a power of two;
+  /// straight into the planar split buffers when N/2 is a direct size;
   /// odd N runs the half-output chirp-z tables, which compute only the
-  /// N/2+1 bins.
+  /// N/2+1 bins (N = 3 and 5, the odd direct sizes, run the complex
+  /// transform instead, so no direct plan holds chirp-z tables).
   void forward_real_half_planar(std::span<const double> in,
                                 std::span<double> out_re,
                                 std::span<double> out_im) const;
@@ -175,7 +190,8 @@ class FftPlan {
   /// tables the matching forward path runs: for complex transforms the
   /// full-output chirp-z tables; with for_real_input, the half-size
   /// sub-plan and unpack twiddles for even N and the half-output chirp-z
-  /// tables for odd N. Thread-safe.
+  /// tables for odd N. Direct sizes need none of the chirp-z tables.
+  /// Thread-safe.
   void prepare(bool for_real_input) const;
 
  private:
@@ -191,13 +207,13 @@ class FftPlan {
     std::vector<double> w3re, w3im; ///< exp(-2*pi*i*3k/L),  k < L/4
   };
 
-  /// Chirp-z tables for the output bins k < bins of a non-power-of-two
-  /// size: the cyclic convolution behind them needs length
-  /// M = next_pow2(N + bins - 1) >= every index distance it must keep
-  /// apart, and runs on the power-of-two plan `sub`.
+  /// Chirp-z tables for the output bins k < bins of a size the direct
+  /// core does not cover: the cyclic convolution behind them needs length
+  /// M = convolution_size(N + bins - 1) >= every index distance it must
+  /// keep apart, and runs on the direct plan `sub`.
   struct ChirpZ {
     std::size_t bins = 0;
-    std::shared_ptr<const FftPlan> sub;  ///< power-of-two plan of size M
+    std::shared_ptr<const FftPlan> sub;  ///< direct plan of size M
     std::vector<double> cre, cim;  ///< chirp exp(-i*pi*k^2/N), k < N
     /// conj(FFT_M(b)) / M for the wrapped conjugate chirp b (b_j =
     /// conj(c_j) at j < bins and at M - j for 0 < j < N): the kernel
@@ -207,7 +223,16 @@ class FftPlan {
   /// Runs the split-radix schedule over bit-reverse-permuted planar
   /// arrays: the fused (2,4) base pass, then the length-8..N combine
   /// stages, recursing depth-first above detail::kSplitRadixLeafLen.
+  /// Power-of-two plans only.
   void split_passes(double* re, double* im, bool invert) const;
+  /// The whole transform of a direct plan (power of two or r * 2^k):
+  /// linear-order input lanes in, natural-order spectrum out, no 1/N
+  /// scaling (Inv conjugates the roots). Element i of the input is
+  /// (in_re[i * step], in_im[i * step]); step 2 with in_im == in_re + 1
+  /// reads a real signal as even/odd pairs. in and out must not overlap.
+  template <bool Inv>
+  void run_direct(const double* in_re, const double* in_im, std::size_t step,
+                  double* out_re, double* out_im) const;
   template <bool Inv>
   void split_subtree(double* re, double* im, std::size_t len,
                      std::size_t pos) const;
@@ -241,8 +266,14 @@ class FftPlan {
                               const double* in_im, std::size_t out_stride,
                               double* out) const;
   /// The full-output (half_output = false: all N bins) or real-input
-  /// half-output (bins 0..N/2) chirp-z tables, built on first use.
-  const ChirpZ& chirp_z_tables(bool half_output) const;
+  /// half-output (bins 0..N/2) chirp-z tables, built on first use. The
+  /// chirp reads the 2N-th roots of unity exp(-i*pi*j/N), j in [0, N]:
+  /// from roots_re/roots_im when given (the unpack roots of the plan of
+  /// size 2N hold exactly these), evaluated here otherwise. Both sources
+  /// give the same bits.
+  const ChirpZ& chirp_z_tables(bool half_output,
+                               const double* roots_re = nullptr,
+                               const double* roots_im = nullptr) const;
   /// Bluestein over planar lanes: writes bins k < t.bins of the DFT of
   /// the size() input samples (in_im == nullptr: real input). With
   /// `inverse` the input and output are conjugated and the output scaled
@@ -253,16 +284,23 @@ class FftPlan {
   void ensure_real_tables() const;
 
   std::size_t n_ = 0;
-  bool pow2_ = false;
+  /// Outer radix of a direct plan: 1 for N = 2^k, 3 or 5 for N = r * 2^k;
+  /// 0 for sizes that run chirp-z.
+  std::size_t radix_ = 0;
+  bool pow2_ = false;  ///< radix_ == 1
 
-  // Split-radix tables (power-of-two N only).
-  std::vector<std::uint32_t> bitrev_;  ///< permutation, size N
+  // Split-radix tables of a direct plan, for its power-of-two factor
+  // L = N / radix_.
+  std::vector<std::uint32_t> bitrev_;  ///< permutation, size L
   /// Per-4-block leaf schedule for the fused (2,4) base pass: 1 when the
   /// block holds a size-4 node of the split-radix tree (full 4-point
   /// DFT), 0 when it holds two independent size-2 nodes (two radix-2
   /// butterflies). Every aligned 4-block is exactly one of the two.
   std::vector<std::uint8_t> base4_;
-  std::vector<SplitStage> stages_;  ///< lengths 8, 16, ..., N
+  std::vector<SplitStage> stages_;  ///< lengths 8, 16, ..., L
+  /// Radix-3/5 outer-pass twiddles w^{qk} = exp(-2*pi*i*q*k/N), entry
+  /// (q - 1) * L + k for q in [1, radix), k < L.
+  std::vector<double> outer_re_, outer_im_;
 
   // Batched-execution tables: the combine-stage twiddles duplicated
   // group-wise (entry k repeated once per group row) so the interleaved
@@ -271,7 +309,7 @@ class FftPlan {
   mutable std::once_flag batch_once_;
   mutable std::vector<SplitStage> batch_stages_;
 
-  // Chirp-z tables (non power-of-two N only), one variant per output
+  // Chirp-z tables, one variant per output
   // range, each built lazily on the first transform that runs it: an even
   // plan that only serves packed real transforms never builds either, and
   // an odd plan that only serves them builds just the half-output one.

@@ -19,18 +19,17 @@ double Spectrum::frequency_step() const {
 namespace {
 
 /// The post-transform half of compute_spectrum: derives the Sec. II-B1
-/// spectrum fields from the packed single-sided bins. One shared function
-/// (not two copies) so the batched and per-signal paths produce the same
-/// instruction sequence — and therefore identical doubles — bit for bit.
-Spectrum finish_spectrum(const double* bin_re, const double* bin_im,
-                         std::size_t n, double fs) {
+/// spectrum fields from the packed single-sided bins in s.bin_re/bin_im.
+/// One shared function (not two copies) so the batched and per-signal
+/// paths produce the same instruction sequence — and therefore identical
+/// doubles — bit for bit. No libm call per bin: the power is the squared
+/// magnitude, and amplitude and phase are left to wave_for_bin, which
+/// needs them for a handful of bins.
+void finish_spectrum(Spectrum& s) {
+  const std::size_t n = s.total_samples;
   const std::size_t half = n / 2;  // single-sided: k in [0, N/2]
-  Spectrum s;
-  s.sampling_frequency = fs;
-  s.total_samples = n;
+  const double fs = s.sampling_frequency;
   s.frequencies.resize(half + 1);
-  s.amplitudes.resize(half + 1);
-  s.phases.resize(half + 1);
   s.power.resize(half + 1);
   s.normed_power.resize(half + 1);
 
@@ -38,15 +37,13 @@ Spectrum finish_spectrum(const double* bin_re, const double* bin_im,
   for (std::size_t k = 0; k <= half; ++k) {
     s.frequencies[k] =
         static_cast<double>(k) * fs / static_cast<double>(n);
-    s.amplitudes[k] = std::hypot(bin_re[k], bin_im[k]);
-    s.phases[k] = std::atan2(bin_im[k], bin_re[k]);
-    s.power[k] = s.amplitudes[k] * s.amplitudes[k] / static_cast<double>(n);
+    s.power[k] = (s.bin_re[k] * s.bin_re[k] + s.bin_im[k] * s.bin_im[k]) /
+                 static_cast<double>(n);
     total_power += s.power[k];
   }
   for (std::size_t k = 0; k <= half; ++k) {
     s.normed_power[k] = total_power > 0.0 ? s.power[k] / total_power : 0.0;
   }
-  return s;
 }
 
 }  // namespace
@@ -55,20 +52,20 @@ Spectrum compute_spectrum(std::span<const double> samples, double fs) {
   ftio::util::expect(!samples.empty(), "compute_spectrum: empty signal");
   ftio::util::expect(fs > 0.0, "compute_spectrum: fs must be positive");
 
-  // Plan-cached packed real transform into per-thread planar scratch:
-  // only the single-sided N/2+1 bins the spectrum reads are ever computed
-  // or stored (the conjugate-symmetric upper half no longer exists), the
-  // lanes stay split re[]/im[] end-to-end (no interleaved std::complex
-  // buffer anywhere on the path), and the buffers are reused across calls
-  // instead of reallocated.
+  // Plan-cached packed real transform straight into the spectrum's own
+  // bin lanes: only the single-sided N/2+1 bins the spectrum reads are
+  // ever computed or stored (the conjugate-symmetric upper half no longer
+  // exists), and the lanes stay split re[]/im[] end-to-end (no
+  // interleaved std::complex buffer anywhere on the path).
   const std::size_t n = samples.size();
-  const std::size_t half = n / 2;
-  thread_local std::vector<double> bin_re;
-  thread_local std::vector<double> bin_im;
-  bin_re.resize(half + 1);
-  bin_im.resize(half + 1);
-  rfft_half_planar_into(samples, bin_re, bin_im);
-  return finish_spectrum(bin_re.data(), bin_im.data(), n, fs);
+  Spectrum s;
+  s.sampling_frequency = fs;
+  s.total_samples = n;
+  s.bin_re.resize(n / 2 + 1);
+  s.bin_im.resize(n / 2 + 1);
+  rfft_half_planar_into(samples, s.bin_re, s.bin_im);
+  finish_spectrum(s);
+  return s;
 }
 
 std::vector<Spectrum> compute_spectra(
@@ -109,8 +106,14 @@ std::vector<Spectrum> compute_spectra(
         plan.rfft_half_planar_batch_into(rows, n, in_rows, bins, bin_re,
                                          bin_im);
         for (std::size_t r = 0; r < rows; ++r) {
-          out[tile[r]] = finish_spectrum(bin_re.data() + r * bins,
-                                         bin_im.data() + r * bins, n, fs);
+          Spectrum& s = out[tile[r]];
+          s.sampling_frequency = fs;
+          s.total_samples = n;
+          const double* row_re = bin_re.data() + r * bins;
+          const double* row_im = bin_im.data() + r * bins;
+          s.bin_re.assign(row_re, row_re + bins);
+          s.bin_im.assign(row_im, row_im + bins);
+          finish_spectrum(s);
         }
       });
   return out;
@@ -128,8 +131,10 @@ CosineWave wave_for_bin(const Spectrum& spectrum, std::size_t k) {
   const bool has_twin =
       k > 0 && !(spectrum.total_samples % 2 == 0 &&
                  k == spectrum.total_samples / 2);
-  w.amplitude = (has_twin ? 2.0 : 1.0) * spectrum.amplitudes[k] / n;
-  w.phase = spectrum.phases[k];
+  const double re = spectrum.bin_re[k];
+  const double im = spectrum.bin_im[k];
+  w.amplitude = (has_twin ? 2.0 : 1.0) * std::hypot(re, im) / n;
+  w.phase = std::atan2(im, re);
   return w;
 }
 

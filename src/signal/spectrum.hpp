@@ -11,10 +11,11 @@ namespace ftio::signal {
 /// Single-sided spectrum of a real, evenly sampled signal, following the
 /// conventions of Sec. II-B1:
 ///  - bins k in [0, N/2] with frequencies f_k = k * fs / N,
-///  - amplitude |X_k| (the DC bin X_0 is kept unscaled; callers that
-///    reconstruct with Eq. (1) double the amplitudes that have a
-///    conjugate twin, i.e. everything except DC and the even-N Nyquist
-///    bin),
+///  - the complex bins X_k themselves; amplitude |X_k| and phase arg(X_k)
+///    are derived per bin by wave_for_bin (the DC bin X_0 is kept
+///    unscaled; callers that reconstruct with Eq. (1) double the
+///    amplitudes that have a conjugate twin, i.e. everything except DC and
+///    the even-N Nyquist bin),
 ///  - power p_k = |X_k|^2 / N,
 ///  - normalised power = p_k / total power (the plotted y-axis in the
 ///    paper's spectra).
@@ -22,9 +23,9 @@ struct Spectrum {
   double sampling_frequency = 0.0;  ///< fs in Hz
   std::size_t total_samples = 0;    ///< N
   std::vector<double> frequencies;  ///< f_k, size N/2 + 1
-  std::vector<double> amplitudes;   ///< |X_k|
-  std::vector<double> phases;       ///< arg(X_k)
-  std::vector<double> power;        ///< p_k = |X_k|^2 / N
+  std::vector<double> bin_re;       ///< Re X_k
+  std::vector<double> bin_im;       ///< Im X_k
+  std::vector<double> power;        ///< p_k = (Re^2 + Im^2) / N
   std::vector<double> normed_power; ///< p_k / sum(p)
 
   /// Frequency-domain resolution 1/dt = fs/N between adjacent bins.
@@ -59,7 +60,8 @@ struct CosineWave {
   double phase = 0.0;
 };
 
-/// Extracts the reconstruction wave for bin k of a spectrum (Eq. (1)).
+/// Extracts the reconstruction wave for bin k of a spectrum (Eq. (1)):
+/// amplitude from |X_k|, phase arg(X_k).
 CosineWave wave_for_bin(const Spectrum& spectrum, std::size_t k);
 
 /// Evaluates the sum of `waves` (plus `dc_offset`) at sample times

@@ -76,6 +76,21 @@ TEST(DftAnalysis, ConstantSignalIsAperiodic) {
   EXPECT_DOUBLE_EQ(a.max_zscore, 0.0);
 }
 
+TEST(DftAnalysis, LoneImpulseIsAperiodic) {
+  // The spectrum of a single impulse is flat: every bin has the same
+  // power, up to the transform's rounding. Z-scores over that spread
+  // would rank rounding noise, so no length and no impulse position may
+  // yield a candidate.
+  for (std::size_t n = 64; n <= 1600; n += 7) {
+    std::vector<double> x(n, 0.0);
+    x[(n * 3) / 7] = 5.0;
+    const auto a = core::analyze_spectrum(sig::compute_spectrum(x, 10.0));
+    EXPECT_EQ(a.verdict, core::Periodicity::kAperiodic) << "n = " << n;
+    EXPECT_TRUE(a.candidates.empty()) << "n = " << n;
+    EXPECT_FALSE(a.dominant_frequency.has_value()) << "n = " << n;
+  }
+}
+
 TEST(DftAnalysis, TwoToneSignalIsPeriodicWithVariation) {
   // Two non-harmonic tones of similar power -> two candidates.
   const double fs = 2.0;

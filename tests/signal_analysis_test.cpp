@@ -64,26 +64,9 @@ std::vector<sig::Peak> all_pairs_distance(std::vector<sig::Peak> peaks,
   return kept;
 }
 
-/// Prominence by walking out from the peak sample by sample.
-double walk_prominence(std::span<const double> v, std::size_t peak) {
-  const double h = v[peak];
-  double left_min = h;
-  for (std::size_t i = peak; i-- > 0;) {
-    if (v[i] > h) break;
-    left_min = std::min(left_min, v[i]);
-  }
-  double right_min = h;
-  for (std::size_t i = peak + 1; i < v.size(); ++i) {
-    if (v[i] > h) break;
-    right_min = std::min(right_min, v[i]);
-  }
-  return h - std::max(left_min, right_min);
-}
-
 /// find_peaks the slow, obvious way: every local maximum materialised,
 /// then the height and threshold filters as separate passes over the
-/// stored peaks, then the all-pairs distance filter and walked
-/// prominences.
+/// stored peaks, then the all-pairs distance filter.
 std::vector<sig::Peak> reference_find_peaks(std::span<const double> v,
                                             const sig::PeakOptions& options) {
   std::vector<sig::Peak> peaks;
@@ -124,12 +107,6 @@ std::vector<sig::Peak> reference_find_peaks(std::span<const double> v,
   if (options.min_distance && *options.min_distance > 1) {
     peaks = all_pairs_distance(std::move(peaks), *options.min_distance);
   }
-  for (auto& p : peaks) p.prominence = walk_prominence(v, p.index);
-  if (options.min_prominence) {
-    std::erase_if(peaks, [&](const sig::Peak& p) {
-      return p.prominence < *options.min_prominence;
-    });
-  }
   return peaks;
 }
 
@@ -164,9 +141,9 @@ TEST(Spectrum, PureToneDominatesItsBin) {
 TEST(Spectrum, DcBinCapturesOffset) {
   std::vector<double> x(64, 3.0);
   const auto s = sig::compute_spectrum(x, 1.0);
-  EXPECT_NEAR(s.amplitudes[0], 3.0 * 64.0, 1e-9);
-  for (std::size_t k = 1; k < s.amplitudes.size(); ++k) {
-    EXPECT_NEAR(s.amplitudes[k], 0.0, 1e-9);
+  EXPECT_NEAR(std::hypot(s.bin_re[0], s.bin_im[0]), 3.0 * 64.0, 1e-9);
+  for (std::size_t k = 1; k < s.bin_re.size(); ++k) {
+    EXPECT_NEAR(std::hypot(s.bin_re[k], s.bin_im[k]), 0.0, 1e-9);
   }
 }
 
@@ -182,9 +159,9 @@ TEST(Spectrum, PowerIsAmplitudeSquaredOverN) {
   const auto x = cosine(0.25, 4.0, 16.0, 1.0);
   const auto s = sig::compute_spectrum(x, 4.0);
   for (std::size_t k = 0; k < s.power.size(); ++k) {
+    const double amplitude = std::hypot(s.bin_re[k], s.bin_im[k]);
     EXPECT_NEAR(s.power[k],
-                s.amplitudes[k] * s.amplitudes[k] / static_cast<double>(x.size()),
-                1e-9);
+                amplitude * amplitude / static_cast<double>(x.size()), 1e-9);
   }
 }
 
@@ -533,11 +510,11 @@ TEST(Spectrum, ComputeSpectraMatchesLoopedBitForBit) {
     for (std::size_t i = 0; i < windows.size(); ++i) {
       const auto want = sig::compute_spectrum(windows[i], 8.0);
       ASSERT_EQ(batch[i].total_samples, want.total_samples);
-      ASSERT_EQ(batch[i].amplitudes.size(), want.amplitudes.size());
-      for (std::size_t k = 0; k < want.amplitudes.size(); ++k) {
-        ASSERT_EQ(batch[i].amplitudes[k], want.amplitudes[k])
+      ASSERT_EQ(batch[i].bin_re.size(), want.bin_re.size());
+      for (std::size_t k = 0; k < want.bin_re.size(); ++k) {
+        ASSERT_EQ(batch[i].bin_re[k], want.bin_re[k])
             << "threads=" << threads << " window " << i << " bin " << k;
-        ASSERT_EQ(batch[i].phases[k], want.phases[k])
+        ASSERT_EQ(batch[i].bin_im[k], want.bin_im[k])
             << "threads=" << threads << " window " << i << " bin " << k;
         ASSERT_EQ(batch[i].power[k], want.power[k])
             << "threads=" << threads << " window " << i << " bin " << k;
@@ -610,19 +587,7 @@ TEST(FindPeaks, DistanceFilterMatchesAllPairsReference) {
   // The distance filter scans index-neighbours only; it must keep exactly
   // the peaks of SciPy's all-pairs formulation (all_pairs_distance), on
   // signals built from a few discrete levels so plateaus and equal-height
-  // peaks are common. Prominences must equal, bit for bit, a walk out from
-  // each peak sample by sample (walk_prominence): on long decaying signals
-  // whose walks pass many blocks, and with NaN samples, which neither stop
-  // a walk nor lower a valley.
-  const auto expect_walk_prominences = [&](const std::vector<double>& v,
-                                           const std::vector<sig::Peak>& got,
-                                           int trial) {
-    for (const auto& p : got) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(p.prominence),
-                std::bit_cast<std::uint64_t>(walk_prominence(v, p.index)))
-          << "trial " << trial << " peak " << p.index;
-    }
-  };
+  // peaks are common, on long decaying signals, and with NaN samples.
 
   ftio::util::Rng rng(1234);
   for (int trial = 0; trial < 600; ++trial) {
@@ -651,16 +616,13 @@ TEST(FindPeaks, DistanceFilterMatchesAllPairsReference) {
     const auto distance = static_cast<std::size_t>(rng.uniform_int(2, 50));
 
     const auto all = sig::find_peaks(v);
-    expect_walk_prominences(v, all, trial);
     const auto want = all_pairs_distance(all, distance);
     const auto got = sig::find_peaks(v, {.min_distance = distance});
-    expect_walk_prominences(v, got, trial);
     ASSERT_EQ(got.size(), want.size())
         << "trial " << trial << " n=" << n << " distance=" << distance;
     for (std::size_t i = 0; i < got.size(); ++i) {
       EXPECT_EQ(got[i].index, want[i].index) << "trial " << trial;
       EXPECT_EQ(got[i].height, want[i].height) << "trial " << trial;
-      EXPECT_EQ(got[i].prominence, want[i].prominence) << "trial " << trial;
     }
   }
 }
@@ -668,10 +630,10 @@ TEST(FindPeaks, DistanceFilterMatchesAllPairsReference) {
 TEST(FindPeaks, OnePassScanMatchesMaterialiseThenFilter) {
   // find_peaks applies the height and threshold filters inside its
   // plateau scan. It must return what reference_find_peaks returns by
-  // storing every maximum and filtering afterwards: same indices, and
-  // bit-equal heights and prominences, for all 16 combinations of the
-  // four options, on level signals with plateaus, NaN and +-inf samples
-  // (and NaN or +-inf option values now and then).
+  // storing every maximum and filtering afterwards: same indices and
+  // bit-equal heights, for all 8 combinations of the three options, on
+  // level signals with plateaus, NaN and +-inf samples (and NaN or +-inf
+  // option values now and then).
   constexpr double kInf = std::numeric_limits<double>::infinity();
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
   constexpr double kSpecial[] = {kNaN, kInf, -kInf};
@@ -697,15 +659,12 @@ TEST(FindPeaks, OnePassScanMatchesMaterialiseThenFilter) {
                rng.uniform(-jitter, jitter);
       }
     }
-    const int mask = trial % 16;
+    const int mask = trial % 8;
     sig::PeakOptions options;
     if ((mask & 1) != 0) options.min_height = option_value(-1.0, levels + 1.0);
     if ((mask & 2) != 0) options.min_threshold = option_value(-1.0, 3.0);
     if ((mask & 4) != 0) {
       options.min_distance = static_cast<std::size_t>(rng.uniform_int(0, 20));
-    }
-    if ((mask & 8) != 0) {
-      options.min_prominence = option_value(-1.0, levels + 1.0);
     }
 
     const auto want = reference_find_peaks(v, options);
@@ -716,23 +675,8 @@ TEST(FindPeaks, OnePassScanMatchesMaterialiseThenFilter) {
       EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].height),
                 std::bit_cast<std::uint64_t>(want[i].height))
           << "trial " << trial;
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].prominence),
-                std::bit_cast<std::uint64_t>(want[i].prominence))
-          << "trial " << trial;
     }
   }
-}
-
-TEST(FindPeaks, ProminenceComputedAgainstHigherGround) {
-  // Small bump on the flank of a big peak has low prominence.
-  const std::vector<double> v{0, 10, 4, 5, 4, 0};
-  const auto peaks = sig::find_peaks(v);
-  ASSERT_EQ(peaks.size(), 2u);
-  EXPECT_DOUBLE_EQ(peaks[0].prominence, 10.0);
-  EXPECT_DOUBLE_EQ(peaks[1].prominence, 1.0);
-  const auto prominent = sig::find_peaks(v, {.min_prominence = 2.0});
-  ASSERT_EQ(prominent.size(), 1u);
-  EXPECT_EQ(prominent[0].index, 1u);
 }
 
 TEST(FindPeaks, ShortInputHasNoPeaks) {

@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "signal/autocorrelation.hpp"
 #include "signal/fft.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -94,19 +95,60 @@ const std::size_t kSizes[] = {1,  2,   4,   8,  16,  64,  256, 1024,
                               6,  12,  60,  120, 360, 1000, 1260};
 
 /// The sizes the accuracy contract is checked on: every N up to 512 (odd
-/// and even, every residue of the half-size and chirp-z paths), the odd N
-/// at the edges of the half-output chirp-z length M = next_pow2(N + N/2)
-/// — 683 and 2731 land exactly on 1024 and 4096, 685 and 1367 just past
-/// a power of two, 1365 just below one — larger sizes of each kind from
-/// kSizes plus 4096, and the paper's prime 7817.
+/// and even, every residue of the direct, half-size and chirp-z paths),
+/// N at the edges of the chirp-z length rule M = convolution_size(N +
+/// bins - 1) — full output: 1279 needs 2557 <= 2560 = 5*2^9, 1281 needs
+/// 2561 and gets 3072, 1537 needs 3073 and gets 4096; half output (odd
+/// N, M >= N + N/2): 683 lands on 1024, 685 on 1280, 1365 on 2048, 1367
+/// on 2560, 2047 on 3072, 2049 and 2731 on 4096 — larger sizes of each
+/// kind from kSizes plus 4096, and the paper's prime 7817.
 std::vector<std::size_t> contract_sizes() {
   std::vector<std::size_t> sizes;
   for (std::size_t n = 1; n <= 512; ++n) sizes.push_back(n);
-  for (std::size_t n : {683u, 685u, 769u, 1000u, 1024u, 1260u, 1365u, 1367u,
-                        2731u, 4096u, 7817u}) {
+  for (std::size_t n : {683u, 685u, 769u, 1000u, 1024u, 1260u, 1279u, 1281u,
+                        1365u, 1367u, 1537u, 2047u, 2049u, 2731u, 4096u,
+                        7817u}) {
     sizes.push_back(n);
   }
   return sizes;
+}
+
+/// The direct sizes r * 2^k (r = 3, 5) up to 5 * 2^12, ascending.
+std::vector<std::size_t> radix_sizes() {
+  std::vector<std::size_t> sizes;
+  for (std::size_t r : {3u, 5u}) {
+    for (std::size_t n = r; n <= 5u << 12; n <<= 1) sizes.push_back(n);
+  }
+  std::sort(sizes.begin(), sizes.end());
+  return sizes;
+}
+
+/// Sizes for the batch bit-identity tests: every power of two up to 2^16
+/// and every r * 2^k (r = 3, 5) up to 5 * 2^13.
+std::vector<std::size_t> batch_sizes() {
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 2; n <= (std::size_t{1} << 16); n <<= 1) {
+    sizes.push_back(n);
+  }
+  for (std::size_t r : {3u, 5u}) {
+    for (std::size_t n = r; n <= 5u << 13; n <<= 1) sizes.push_back(n);
+  }
+  return sizes;
+}
+
+/// Autocorrelation by the O(N^2) direct sum, lag-0 normalised like
+/// sig::autocorrelation.
+std::vector<double> direct_acf(const std::vector<double>& x) {
+  const std::size_t n = x.size();
+  std::vector<double> acf(n, 0.0);
+  for (std::size_t lag = 0; lag < n; ++lag) {
+    double sum = 0.0;
+    for (std::size_t i = 0; i + lag < n; ++i) sum += x[i] * x[i + lag];
+    acf[lag] = sum;
+  }
+  const double lag0 = acf[0];
+  for (auto& v : acf) v /= lag0;
+  return acf;
 }
 
 /// One DFT bin by the direct sum, phase index reduced mod N exactly: the
@@ -176,6 +218,92 @@ TEST(FftPlan, RfftMatchesDirectDft) {
     ASSERT_EQ(got.size(), n / 2 + 1);
     EXPECT_LE(rel_err(got, want), kContract) << "n = " << n;
   }
+}
+
+TEST(FftPlan, RadixSizesMeetContract) {
+  // Every direct r * 2^k size against one dft_direct each: the complex
+  // forward against it, the complex inverse of the exact spectrum back to
+  // the input, and the packed real pair on the real part, whose spectrum
+  // R_k = (X_k + conj(X_{N-k})) / 2 follows from the same oracle.
+  for (std::size_t n : radix_sizes()) {
+    const auto x = random_signal(n, 15000 + n);
+    const auto want = sig::dft_direct(x);
+    std::vector<double> in_re(n), in_im(n), out_re(n), out_im(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      in_re[i] = x[i].real();
+      in_im[i] = x[i].imag();
+    }
+    sig::fft_planar_into(in_re, in_im, out_re, out_im);
+    EXPECT_LE(rel_err(from_lanes(out_re, out_im), want), kContract)
+        << "forward n = " << n;
+
+    std::vector<double> spec_re(n), spec_im(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      spec_re[k] = want[k].real();
+      spec_im[k] = want[k].imag();
+    }
+    sig::ifft_planar_into(spec_re, spec_im, out_re, out_im);
+    EXPECT_LE(rel_err(from_lanes(out_re, out_im), x), kContract)
+        << "inverse n = " << n;
+
+    const std::size_t bins = n / 2 + 1;
+    std::vector<Complex> want_half(bins);
+    for (std::size_t k = 0; k < bins; ++k) {
+      want_half[k] = 0.5 * (want[k] + std::conj(want[(n - k) % n]));
+    }
+    EXPECT_LE(rel_err(half_spectrum(in_re), want_half), kContract)
+        << "real forward n = " << n;
+    std::vector<double> hre(bins), him(bins), back(n);
+    for (std::size_t k = 0; k < bins; ++k) {
+      hre[k] = want_half[k].real();
+      him[k] = want_half[k].imag();
+    }
+    sig::irfft_half_planar_into(hre, him, back);
+    EXPECT_LE(real_rel_err(back, in_re), kContract)
+        << "real inverse n = " << n;
+  }
+}
+
+TEST(FftPlan, AutocorrelationMatchesDirectSum) {
+  // The FFT autocorrelation against the direct O(N^2) linear correlation:
+  // every N up to 600, and both sides of each point where the padded
+  // length acf_transform_size(N) steps up, to N = 8193.
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 1; n <= 600; ++n) sizes.push_back(n);
+  for (std::size_t n = 601; n <= 8193; ++n) {
+    if (sig::acf_transform_size(n) != sig::acf_transform_size(n - 1)) {
+      sizes.push_back(n - 1);
+      sizes.push_back(n);
+    }
+  }
+  for (std::size_t n : sizes) {
+    const auto x = random_real(n, 16000 + n);
+    const auto got = sig::autocorrelation(x);
+    const auto want = direct_acf(x);
+    ASSERT_EQ(got.size(), n);
+    EXPECT_LE(real_rel_err(got, want), kContract) << "n = " << n;
+  }
+}
+
+TEST(FftPlan, ConvolutionSizeRule) {
+  // The smallest of 2^k, 3*2^k, 5*2^k that is >= n; even for even n.
+  for (std::size_t n = 1; n <= 5000; ++n) {
+    const std::size_t m = sig::convolution_size(n);
+    ASSERT_GE(m, n);
+    ASSERT_TRUE(sig::is_direct_size(m)) << "n = " << n;
+    for (std::size_t smaller = n; smaller < m; ++smaller) {
+      ASSERT_FALSE(sig::is_direct_size(smaller)) << "n = " << n;
+    }
+    if (n % 2 == 0) {
+      EXPECT_EQ(m % 2, 0u) << "n = " << n;
+    }
+  }
+  EXPECT_EQ(sig::convolution_size(2561), 3072u);
+  EXPECT_EQ(sig::convolution_size(2560), 2560u);
+  EXPECT_EQ(sig::convolution_size(3073), 4096u);
+  EXPECT_FALSE(sig::is_direct_size(0));
+  EXPECT_FALSE(sig::is_direct_size(7));
+  EXPECT_TRUE(sig::is_direct_size(5 << 12));
 }
 
 TEST(FftPlan, LargePrimeMeetsContractOnSampledBins) {
@@ -324,10 +452,11 @@ TEST(FftPlanBatch, MatchesLoopedSingleSignalBitForBit) {
   // The contract of the batch entry points: row b of a batch call is
   // bit-identical to the corresponding single-signal call on row b, for
   // every batch size (covering grouped rows, the per-row tail, and the
-  // per-row fallback) on every power-of-two N — including sizes where the
-  // batch working set crosses the tile budget back to per-row execution.
-  // Strides are deliberately padded past the row length.
-  for (std::size_t n = 2; n <= (std::size_t{1} << 16); n <<= 1) {
+  // per-row fallback) on every power-of-two N and every direct r * 2^k
+  // size — including sizes where the batch working set crosses the tile
+  // budget back to per-row execution. Strides are deliberately padded
+  // past the row length.
+  for (const std::size_t n : batch_sizes()) {
     for (const std::size_t batch : {1u, 2u, 3u, 7u, 32u}) {
       const auto plan = sig::get_plan(n);
       const std::size_t stride = n + 3;
@@ -413,7 +542,8 @@ TEST(FftPlanBatch, MatchesLoopedSingleSignalBitForBit) {
 TEST(FftPlanBatch, InPlaceAliasingMatchesOutOfPlace) {
   // The documented full-aliasing form: out lanes == in lanes, same
   // stride. Covers both the grouped rows and the per-row tail.
-  for (const std::size_t n : {8u, 64u, 1024u, 4096u}) {
+  for (const std::size_t n : {8u, 64u, 1024u, 4096u, 12u, 96u, 1536u,
+                             5120u}) {
     for (const std::size_t batch : {2u, 7u, 32u}) {
       const auto plan = sig::get_plan(n);
       const std::size_t stride = n + 1;
