@@ -93,16 +93,25 @@ DftAnalysis analyze_spectrum(const ftio::signal::Spectrum& spectrum,
 
   out.mean_bin_contribution =
       1.0 / static_cast<double>(spectrum.inspected_bins());
-  // A spectrum whose spread is at rounding level — every bin equal up to
-  // the transform's 1e-12 accuracy, as for a lone impulse — has no
-  // outlier: its z-scores would only rank the transform's rounding noise,
-  // so the verdict would depend on which kernel computed the bins.
-  constexpr double kFlatSpread = 1e-9;  // relative to the mean power
-  if (ftio::util::stddev(powers) <= kFlatSpread * ftio::util::mean(powers)) {
-    return out;
-  }
+  // A spectrum whose non-DC spread is at rounding level has no outlier:
+  // its z-scores would only rank the transform's rounding noise, so the
+  // verdict would depend on which kernel computed the bins. Rounding
+  // scales with the largest bin, so the spread is measured against the
+  // mean power over every bin, DC included. That covers a lone impulse
+  // (every bin equal) and a constant window (all power in DC, the rest
+  // noise). The z-scores of Eq. (2) are built from the same mean and sigma.
+  constexpr double kFlatSpread = 1e-9;
+  const double mean_power = ftio::util::mean(powers);
+  const double sigma = ftio::util::stddev(powers);
+  const double mean_all_bins =
+      (spectrum.power[0] + mean_power * static_cast<double>(bins - 1)) /
+      static_cast<double>(bins);
+  if (sigma <= kFlatSpread * mean_all_bins) return out;
 
-  const auto z = ftio::util::z_scores(powers);
+  std::vector<double> z(powers.size());
+  for (std::size_t i = 0; i < powers.size(); ++i) {
+    z[i] = (powers[i] - mean_power) / sigma;
+  }
   out.max_zscore = *std::max_element(z.begin(), z.end());
 
   // Optional alternative detector: intersect its flags with the Z-score

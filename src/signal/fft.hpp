@@ -41,9 +41,10 @@ std::size_t next_power_of_two(std::size_t n);
 bool is_direct_size(std::size_t n);
 
 /// The convolution length rule: the smallest of 2^k, 3*2^k and 5*2^k that
-/// is >= n. Every zero-padded convolution (the chirp-z kernel, the FFT
-/// autocorrelation) pads to this size, so it always runs on the direct
-/// core. For even n >= 2 the result is even.
+/// is >= n, so a convolution padded to it runs on the direct core. Only
+/// the chirp-z kernel pads to it today; the FFT autocorrelation keeps
+/// acf_transform_size() (a power of two) until its peak picker handles
+/// exact ties between lags. For even n >= 2 the result is even.
 std::size_t convolution_size(std::size_t n);
 
 }  // namespace ftio::signal

@@ -1400,14 +1400,8 @@ void FftPlan::irfft_half_planar_batch_into(std::size_t batch,
 
 void FftPlan::ensure_real_tables() const {
   std::call_once(real_once_, [this] {
-    // A direct half plan is shared through the cache like every other
-    // convolution-size plan. A chirp-z half has a size no other caller
-    // asks for, so it is built privately: through the cache, every fresh
-    // even N would insert two entries and push out the reusable
-    // convolution plans twice as fast.
     const std::size_t h = n_ / 2;
-    half_ = is_direct_size(h) ? get_plan(h)
-                              : std::make_shared<const FftPlan>(h);
+    half_ = get_plan(h);
     if (pow2_) {
       rtw_re_.resize(h + 1);
       rtw_im_.resize(h + 1);
@@ -1422,7 +1416,9 @@ void FftPlan::ensure_real_tables() const {
     // The packed real path always runs the half plan's complex transform,
     // so finish its lazy state here rather than on first use. A chirp-z
     // half plan of size h = N/2 needs the 2h-th roots over [0, h] — this
-    // plan's unpack roots, so its chirp costs no trigonometry at all.
+    // plan's unpack roots, so its chirp costs no trigonometry at all. A
+    // cached half plan whose tables another caller built first holds the
+    // same bits: both come from half_unit_roots(N).
     if (half_->radix_ == 0) {
       (void)half_->chirp_z_tables(/*half_output=*/false, rtw_re_.data(),
                                   rtw_im_.data());

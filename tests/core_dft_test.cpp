@@ -69,11 +69,20 @@ TEST(DftAnalysis, WhiteNoiseIsAperiodic) {
 }
 
 TEST(DftAnalysis, ConstantSignalIsAperiodic) {
-  std::vector<double> x(256, 4.2);
-  const auto s = sig::compute_spectrum(x, 1.0);
-  const auto a = core::analyze_spectrum(s);
-  EXPECT_EQ(a.verdict, core::Periodicity::kAperiodic);
-  EXPECT_DOUBLE_EQ(a.max_zscore, 0.0);
+  // A constant window puts all its power in the DC bin; every other bin
+  // holds only rounding noise, far below it, and z-scores over that noise
+  // would still clear the threshold.
+  for (const double level : {4.2, 1.7, 0.3, 2.6e9}) {
+    for (std::size_t n = 64; n <= 1600; n += 7) {
+      const std::vector<double> x(n, level);
+      const auto a = core::analyze_spectrum(sig::compute_spectrum(x, 10.0));
+      EXPECT_EQ(a.verdict, core::Periodicity::kAperiodic)
+          << "n = " << n << ", level = " << level;
+      EXPECT_TRUE(a.candidates.empty()) << "n = " << n << ", level = " << level;
+      EXPECT_DOUBLE_EQ(a.max_zscore, 0.0)
+          << "n = " << n << ", level = " << level;
+    }
+  }
 }
 
 TEST(DftAnalysis, LoneImpulseIsAperiodic) {
